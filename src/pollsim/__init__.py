@@ -18,7 +18,6 @@ from .model import (
     is_sincere,
     outcome_from_tally,
     sincere_ballots,
-    strict_prefers,
     tally,
 )
 from .strategies import Strategy, ballot_for, leader_rule, modified_leader_rule
@@ -48,6 +47,7 @@ from .continuous import (
     embed_discrete,
     find_periodic_orbit,
     iterate_orbit,
+    orbit_rows,
     perturbed_dynamics,
     sup_distance,
 )

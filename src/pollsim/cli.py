@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import behaviors, presets
-from .continuous import Fallback, TwoShareView, perturbed_dynamics
+from .continuous import Fallback, TwoShareView, orbit_rows, perturbed_dynamics
 from .cultures import CultureKind, CultureSpec
 from .dynamics import build_polling_graph, classify
 from .electorate_io import ParseError, export_dot, format_analysis, parse_electorate
@@ -48,11 +48,17 @@ def _load_electorate(path: str):
         return parse_electorate(fh.read())
 
 
-def _cmd_analyze(args) -> int:
-    electorate = _load_electorate(args.file)
-    report = condorcet_analysis(electorate, strong=args.strong)
+def _analysis(path: str, strong: bool = False):
+    """Condorcet report, poll graph and its classification of an
+    electorate file."""
+    electorate = _load_electorate(path)
+    report = condorcet_analysis(electorate, strong=strong)
     graph = build_polling_graph(electorate)
-    dynamics = classify(graph, report)
+    return report, graph, classify(graph, report)
+
+
+def _cmd_analyze(args) -> int:
+    report, graph, dynamics = _analysis(args.file, args.strong)
     sys.stdout.write(format_analysis(report, dynamics, graph))
     if args.dot:
         _write_or_print(export_dot(graph, dynamics), args.dot)
@@ -60,10 +66,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    electorate = _load_electorate(args.file)
-    report = condorcet_analysis(electorate)
-    graph = build_polling_graph(electorate)
-    dynamics = classify(graph, report)
+    _, graph, dynamics = _analysis(args.file)
     _write_or_print(export_dot(graph, dynamics), args.dot)
     return 0
 
@@ -91,9 +94,9 @@ def _cmd_mc(args) -> int:
 
 
 def _planar_source(args):
-    """Build the requested planar model and its (x, z) stepping facade."""
-    model = PLANAR_MODELS[args.model]
-    if model == "twobloc":
+    """The requested planar model as (source, state at (x, z), (x, z) of a
+    state)."""
+    if PLANAR_MODELS[args.model] == "twobloc":
         dyn = perturbed_dynamics(
             presets.two_bloc_electorate(),
             p=args.p,
@@ -101,15 +104,7 @@ def _planar_source(args):
             fallback=Fallback(args.fallback),
         )
         view = TwoShareView(dyn, "X", frozenset("ab"), "Z", frozenset("ab"))
-
-        class _Facade:
-            def step(self, xz):
-                return view.coords(dyn.step(view.state(*xz)))
-
-            def winner(self, xz):
-                return dyn.winner(view.state(*xz))
-
-        return _Facade()
+        return dyn, view.state, view.coords
     collab = behaviors.LinearClamped(args.kappa) if args.collab == "linear" else behaviors.RationalDecay(args.lam)
     nz, ny, nx, nw = args.weights
     config = behaviors.ReluctanceConfig(
@@ -124,44 +119,32 @@ def _planar_source(args):
         collaboration=collab,
         b_score_rule=behaviors.BScoreRule.LITERAL if args.vb == "literal" else behaviors.BScoreRule.DERIVED,
     )
-    return behaviors.build_planar_map(config)
+    return behaviors.build_planar_map(config), lambda x, z: (x, z), lambda xz: xz
 
 
-def _parse_start_xy(text: str) -> tuple[float, float]:
-    parts = text.split(",")
+def _orbit_start(args):
+    """The requested model as (source, start state, coordinates of a
+    state): planar starts are x,z pairs, tent starts rationals."""
+    if args.model == "tent":
+        model = behaviors.build_tent_model()
+        z = Fraction(args.start) if args.start else model.default_start(args.seed)
+        return model, z, lambda z: (float(z),)
+    source, state, coords = _planar_source(args)
+    parts = args.start.split(",") if args.start else ["0.5", "0.5"]
     if len(parts) != 2:
         raise ValueError("--start must be x,z")
-    return float(parts[0]), float(parts[1])
+    return source, state(float(parts[0]), float(parts[1])), coords
 
 
-def _orbit_rows(args, emit) -> None:
-    """Run the requested model orbit and feed (step, coords, winner) rows
-    to ``emit``."""
+def _cmd_orbit(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be non-negative")
     if args.keep_every < 1:
         raise ValueError("--keep-every must be at least 1")
-    if args.model == "tent":
-        model = behaviors.build_tent_model()
-        z = Fraction(args.start) if args.start else model.default_start(args.seed)
-        for k in range(args.steps + 1):
-            if k % args.keep_every == 0:
-                emit(k, (float(z),), model.winner(z))
-            z = model.step(z)
-    else:
-        source = _planar_source(args)
-        state = _parse_start_xy(args.start) if args.start else (0.5, 0.5)
-        for k in range(args.steps + 1):
-            if k % args.keep_every == 0:
-                emit(k, state, source.winner(state))
-            state = source.step(state)
-
-
-def _cmd_orbit(args) -> int:
+    source, start, coords = _orbit_start(args)
     rows = ["step,x,z,winner\n" if args.model != "tent" else "step,z,winner\n"]
-    def emit(k, coords, winner):
-        rows.append(",".join([str(k), *[f"{c:.12f}" for c in coords], winner]) + "\n")
-    _orbit_rows(args, emit)
+    for k, s, winner in orbit_rows(source, start, args.steps, args.keep_every):
+        rows.append(",".join([str(k), *[f"{c:.12f}" for c in coords(s)], winner]) + "\n")
     _write_or_print("".join(rows), args.out)
     return 0
 
@@ -175,13 +158,10 @@ def _cmd_entropy(args) -> int:
         raise ValueError("--fit must look like 4:14") from None
     if not (1 <= lo and hi <= args.lmax and hi - lo + 1 >= 3):
         raise ValueError(f"--fit range {lo}:{hi} does not fit in 1..{args.lmax}")
+    source, start, _ = _orbit_start(args)
     if args.model == "tent":
-        model = behaviors.build_tent_model()
-        z0 = Fraction(args.start) if args.start else model.default_start(args.seed)
-        word = model.winners_word_exact(z0, args.steps)
+        word = source.winners_word_exact(start, args.steps)
     else:
-        source = _planar_source(args)
-        start = _parse_start_xy(args.start) if args.start else (0.5, 0.5)
         word = winners_word(source, start, args.steps).letters
     profile = ks_profile(word, max_block=args.lmax)
     fit = ks_entropy_estimate(profile, (lo, hi))
@@ -205,19 +185,16 @@ def _cmd_entropy(args) -> int:
 def _cmd_grid(args) -> int:
     if args.res < 1 or args.iters < 0:
         raise ValueError("--res must be positive and --iters non-negative")
-    source = _planar_source(args)
+    source, state, coords = _planar_source(args)
     res = args.res
     rows = ["x0,z0,step,x,z,winner\n"]
     for i in range(res):
         for j in range(res):
             x0 = i / (res - 1) if res > 1 else 0.5
             z0 = j / (res - 1) if res > 1 else 0.5
-            state = (x0, z0)
-            for k in range(args.iters + 1):
-                rows.append(
-                    f"{x0:.6f},{z0:.6f},{k},{state[0]:.12f},{state[1]:.12f},{source.winner(state)}\n"
-                )
-                state = source.step(state)
+            for k, s, winner in orbit_rows(source, state(x0, z0), args.iters):
+                x, z = coords(s)
+                rows.append(f"{x0:.6f},{z0:.6f},{k},{x:.12f},{z:.12f},{winner}\n")
     _write_or_print("".join(rows), args.out)
     return 0
 

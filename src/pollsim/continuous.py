@@ -2,10 +2,12 @@
 simplices.
 
 A state assigns to every voter type a distribution over that type's
-admissible ballots.  Generalized strategies map (previous distribution,
-expected outcome) to a new distribution; the induced map on states is
-iterated exactly like the discrete dynamics, which embeds via
-`embed_discrete`.
+admissible ballots.  A step reads the expected outcome and moves the
+fraction ``rate(outcome)`` of every type's voters to its target: the unit
+point of the ballot its simple strategy casts at the outcome's (winner,
+runner-up).  The discrete dynamics embeds as rate 1 (`embed_discrete`);
+the perturbed dynamics gates the rate on the pairwise score margins
+(`perturbed_dynamics`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Protocol
+from itertools import combinations
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -78,13 +81,13 @@ class SimplexPoint:
         except ValueError:
             raise ValueError(f"{set(ballot)} is not an admissible ballot here") from None
 
-    def blend_toward(self, ballot: Ballot, p: float) -> "SimplexPoint":
-        """p of the voters move to ``ballot``, the rest keep their plan."""
-        i = self.ballots.index(ballot)
-        if len(self.ballots) == 1 or self.shares[i] == 1.0:
+    def blend_toward(self, target: "SimplexPoint", p: float) -> "SimplexPoint":
+        """p of the voters move to the unit point ``target``, the rest keep
+        their plan."""
+        if self.shares[target.shares.index(1.0)] == 1.0:
             return self
         q = 1.0 - p
-        new = tuple((p if j == i else 0.0) + q * s for j, s in enumerate(self.shares))
+        new = tuple(p * t + q * s for t, s in zip(target.shares, self.shares))
         return SimplexPoint._convex(self.ballots, new)
 
     def as_dict(self) -> dict[Ballot, float]:
@@ -92,9 +95,6 @@ class SimplexPoint:
 
 
 ContinuousState = tuple  # tuple[SimplexPoint, ...] aligned with electorate.types
-
-# (previous distribution, expected outcome) -> new distribution
-GeneralizedStrategy = Callable[[SimplexPoint, Outcome], SimplexPoint]
 
 
 class SymbolicSource(Protocol):
@@ -105,11 +105,41 @@ class SymbolicSource(Protocol):
     def winner(self, state) -> str: ...
 
 
+def orbit_rows(
+    source: SymbolicSource,
+    start,
+    n_steps: int,
+    keep_every: int = 1,
+    discard: int = 0,
+) -> Iterator[tuple[int, object, str]]:
+    """Yield (step, state, winner) for every ``keep_every``-th state of the
+    orbit of ``start`` after a transient of ``discard`` steps, up to step
+    ``discard + n_steps``.  No step is taken past the last state yielded."""
+    if n_steps < 0 or discard < 0:
+        raise ValueError("n_steps and discard must be non-negative")
+    if keep_every < 1:
+        raise ValueError("keep_every must be at least 1")
+    step, winner = source.step, source.winner
+    last = discard + n_steps - n_steps % keep_every
+    s, kept = start, discard
+    for k in range(last + 1):
+        if k == kept:
+            yield k, s, winner(s)
+            kept += keep_every
+        if k < last:
+            s = step(s)
+
+
 @dataclass(frozen=True)
 class ContinuousDynamics:
+    """``targets[i]`` maps an outcome's (winner, runner-up) to the unit
+    point of type i's strategy ballot; ``rate`` gives the fraction of every
+    type that moves to its target at an outcome."""
+
     electorate: Electorate
     admissible: tuple[tuple[Ballot, ...], ...]
-    strategies: tuple[GeneralizedStrategy, ...]
+    targets: tuple[dict, ...]
+    rate: Callable[[Outcome], float]
 
     @cached_property
     def _contributions(self):
@@ -142,7 +172,13 @@ class ContinuousDynamics:
 
     def step(self, state: ContinuousState) -> ContinuousState:
         out = self.outcome(state)
-        return tuple(g(point, out) for g, point in zip(self.strategies, state))
+        key = (out.winner, out.runner_up)
+        p = self.rate(out)
+        if p == 1.0:
+            return tuple(table[key] for table in self.targets)
+        if p == 0.0:
+            return state
+        return tuple(point.blend_toward(table[key], p) for point, table in zip(state, self.targets))
 
     def extreme_state(self, assignment: dict) -> ContinuousState:
         """State where all voters of each type cast the assigned ballot."""
@@ -176,47 +212,27 @@ def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
     return worst
 
 
-def admissible_ballots(electorate: Electorate) -> tuple[tuple[Ballot, ...], ...]:
-    """Image of each type's strategy over the whole state space, in first
-    occurrence order."""
-    per_type = []
+def _dynamics(electorate: Electorate, rate: Callable[[Outcome], float]) -> ContinuousDynamics:
+    """Dynamics with the given rate and the strategies' targets.  Simple
+    strategies make (winner, runner-up) -> ballot a complete lookup table;
+    a type's admissible ballots are its image in first occurrence order,
+    and outcomes with the same ballot share one unit point."""
     states = all_states(electorate)
+    admissible, targets = [], []
     for t in electorate.types:
-        seen: list[Ballot] = []
-        for s in states:
-            b = ballot_for(t.strategy, t.preference, s)
-            if b not in seen:
-                seen.append(b)
-        per_type.append(tuple(seen))
-    return tuple(per_type)
-
-
-def _ballot_table(t, electorate: Electorate) -> dict:
-    """(winner, runner-up) -> the strategy ballot; simple strategies make
-    this a complete lookup table."""
-    return {
-        (s.winner, s.runner_up): ballot_for(t.strategy, t.preference, s)
-        for s in all_states(electorate)
-    }
+        table = {(s.winner, s.runner_up): ballot_for(t.strategy, t.preference, s) for s in states}
+        ballots = tuple(dict.fromkeys(table.values()))
+        units = {b: SimplexPoint.unit(ballots, b) for b in ballots}
+        admissible.append(ballots)
+        targets.append({key: units[b] for key, b in table.items()})
+    return ContinuousDynamics(electorate, tuple(admissible), tuple(targets), rate)
 
 
 def embed_discrete(electorate: Electorate) -> ContinuousDynamics:
-    """The continuous lift of the discrete dynamics: every state maps to
-    the extreme state of the ballots the discrete strategies dictate."""
-    admissible = admissible_ballots(electorate)
-
-    def lift(t, ballots) -> GeneralizedStrategy:
-        table = {
-            key: SimplexPoint.unit(ballots, b) for key, b in _ballot_table(t, electorate).items()
-        }
-
-        def g(point: SimplexPoint, out: Outcome) -> SimplexPoint:
-            return table[(out.winner, out.runner_up)]
-
-        return g
-
-    strategies = tuple(lift(t, b) for t, b in zip(electorate.types, admissible))
-    return ContinuousDynamics(electorate, admissible, strategies)
+    """The continuous lift of the discrete dynamics (rate 1): every state
+    maps to the extreme state of the ballots the discrete strategies
+    dictate."""
+    return _dynamics(electorate, lambda out: 1.0)
 
 
 class Fallback(Enum):
@@ -242,42 +258,15 @@ def perturbed_dynamics(
         raise ValueError("p must lie in (0, 1]")
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    admissible = admissible_ballots(electorate)
     threshold = margin * electorate.total_weight
-    margin_memo: dict = {}  # one-slot cache shared by the per-type strategies
+    closed = {Fallback.KEEP: 0.0, Fallback.APPLY: p, Fallback.HALF: p / 2}[fallback]
 
-    def margins_ok(out: Outcome) -> bool:
-        key = id(out)
-        if margin_memo.get("key") == key:
-            return margin_memo["ok"]
-        scores = out.tally.scores
-        ok = all(
-            abs(scores[i] - scores[j]) >= threshold
-            for i in range(len(scores))
-            for j in range(i + 1, len(scores))
-        )
-        margin_memo["key"] = key
-        margin_memo["ok"] = ok
-        return ok
+    def rate(out: Outcome) -> float:
+        if all(abs(a - b) >= threshold for a, b in combinations(out.tally.scores, 2)):
+            return p
+        return closed
 
-    def make(t, ballots) -> GeneralizedStrategy:
-        table = _ballot_table(t, electorate)
-
-        def g(point: SimplexPoint, out: Outcome) -> SimplexPoint:
-            target = table[(out.winner, out.runner_up)]
-            if margins_ok(out):
-                return point.blend_toward(target, p)
-            if fallback is Fallback.KEEP:
-                return point
-            if fallback is Fallback.APPLY:
-                return point.blend_toward(target, p)
-            return point.blend_toward(target, p / 2)
-
-        return g
-
-    return ContinuousDynamics(
-        electorate, admissible, tuple(make(t, b) for t, b in zip(electorate.types, admissible))
-    )
+    return _dynamics(electorate, rate)
 
 
 @dataclass(frozen=True)
@@ -359,20 +348,8 @@ def iterate_orbit(
 ) -> Orbit:
     """Iterate a map, recording every ``keep_every``-th state after an
     optional transient of ``discard`` steps."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    s = start
-    for _ in range(discard):
-        s = source.step(s)
-    steps, states, winners = [], [], []
-    for k in range(n_steps + 1):
-        if k % keep_every == 0:
-            steps.append(discard + k)
-            states.append(s)
-            winners.append(source.winner(s))
-        if k < n_steps:
-            s = source.step(s)
-    return Orbit(steps, states, "".join(winners))
+    rows = list(orbit_rows(source, start, n_steps, keep_every, discard))
+    return Orbit([k for k, _, _ in rows], [s for _, s, _ in rows], "".join(w for _, _, w in rows))
 
 
 @dataclass(frozen=True)
@@ -401,12 +378,8 @@ def find_periodic_orbit(
         raise ValueError("period must be at least 1")
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
-        s = sampler(rng)
-        for _ in range(settle):
-            s = dynamics.step(s)
-        cycle = [s]
-        for _ in range(period):
-            cycle.append(dynamics.step(cycle[-1]))
+        rows = list(orbit_rows(dynamics, sampler(rng), period, discard=settle))
+        cycle = [s for _, s, _ in rows]
         if sup_distance(cycle[0], cycle[period]) >= tol:
             continue
         distinct = all(
@@ -416,6 +389,5 @@ def find_periodic_orbit(
         )
         if not distinct:
             continue
-        states = tuple(cycle[:period])
-        return PeriodicOrbit(states, tuple(dynamics.winner(s) for s in states))
+        return PeriodicOrbit(tuple(cycle[:period]), tuple(w for _, _, w in rows[:period]))
     return None

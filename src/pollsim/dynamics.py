@@ -14,7 +14,6 @@ with D the pairwise strict-preference weight matrix of `majority`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +179,6 @@ class DynamicsReport:
 
     condorcet_winner: Candidate | None
     cycles: tuple[CycleReport, ...]
-    runtime_s: float = 0.0
 
     @property
     def is_bad(self) -> bool | None:
@@ -190,7 +188,6 @@ class DynamicsReport:
 
 
 def classify(graph: PollingGraph, report: CondorcetReport) -> DynamicsReport:
-    t0 = time.perf_counter()
     cw = report.condorcet_winner
     cycle_reports = []
     for k, cyc in enumerate(graph.cycles):
@@ -210,5 +207,4 @@ def classify(graph: PollingGraph, report: CondorcetReport) -> DynamicsReport:
     return DynamicsReport(
         condorcet_winner=cw,
         cycles=tuple(cycle_reports),
-        runtime_s=time.perf_counter() - t0,
     )

@@ -9,6 +9,7 @@ are broken by candidate declaration order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -141,21 +142,20 @@ class Preference:
         return self.groups[-1]
 
 
-def strict_prefers(pref: Preference, alpha: Candidate, beta: Candidate) -> bool:
-    return pref.prefers(alpha, beta)
+def _sincere(pref: Preference, ballot: Ballot, below) -> bool:
+    """``below(worst rank on the ballot, best rank off it)``; empty and
+    full ballots pass."""
+    if not ballot:
+        return True
+    worst_in = max(pref.rank_of(c) for c in ballot)
+    out = [c for c in pref.candidates if c not in ballot]
+    return not out or below(worst_in, min(pref.rank_of(c) for c in out))
 
 
 def is_sincere(pref: Preference, ballot: Ballot) -> bool:
     """A ballot is sincere when every approved candidate is strictly
     preferred to every non-approved candidate."""
-    if not ballot:
-        return True
-    worst_in = max(pref.rank_of(c) for c in ballot)
-    out = [c for c in pref.candidates if c not in ballot]
-    if not out:
-        return True
-    best_out = min(pref.rank_of(c) for c in out)
-    return worst_in < best_out
+    return _sincere(pref, ballot, operator.lt)
 
 
 def is_weakly_sincere(pref: Preference, ballot: Ballot) -> bool:
@@ -163,14 +163,7 @@ def is_weakly_sincere(pref: Preference, ballot: Ballot) -> bool:
     strictly preferred to one on it.  Coincides with `is_sincere` on
     tie-free preferences; the strict form additionally forbids approving
     one of two tied candidates without the other."""
-    if not ballot:
-        return True
-    worst_in = max(pref.rank_of(c) for c in ballot)
-    out = [c for c in pref.candidates if c not in ballot]
-    if not out:
-        return True
-    best_out = min(pref.rank_of(c) for c in out)
-    return worst_in <= best_out
+    return _sincere(pref, ballot, operator.le)
 
 
 def sincere_ballots(pref: Preference) -> list[Ballot]:
@@ -279,10 +272,6 @@ class Outcome:
     @property
     def runner_up(self) -> Candidate:
         return self.ranking[1]
-
-    @property
-    def scores(self) -> Tally:
-        return self.tally
 
 
 def tally(electorate: Electorate, assignment: Mapping[str, Ballot]) -> Tally:

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .continuous import orbit_rows
+
 
 @dataclass(frozen=True)
 class WinnersWord:
@@ -32,38 +34,37 @@ class WinnersWord:
 
 def winners_word(source, start, n: int, label: str = "") -> WinnersWord:
     """First ``n`` winners along the orbit of ``start`` under ``source``
-    (anything with ``step`` and ``winner``)."""
+    (anything with ``step`` and ``winner``): the winners of ``n - 1``
+    steps."""
     if n < 1:
         raise ValueError("need at least one letter")
-    out = []
-    s = start
-    for _ in range(n):
-        letter = source.winner(s)
-        if len(letter) != 1:
-            raise ValueError("winners words need single-character candidate names")
-        out.append(letter)
-        s = source.step(s)
-    return WinnersWord("".join(out), label)
+    letters = [w for _, _, w in orbit_rows(source, start, n - 1)]
+    if any(len(w) != 1 for w in letters):
+        raise ValueError("winners words need single-character candidate names")
+    return WinnersWord("".join(letters), label)
 
 
 def _letters(word) -> str:
     return word.letters if isinstance(word, WinnersWord) else word
 
 
-def _encode(text: str):
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    alphabet, inv = np.unique(data, return_inverse=True)
-    return [chr(b) for b in alphabet], inv.astype(np.int64)
-
-
-def _window_counts(codes: np.ndarray, base: int, block: int):
-    """Counts of the exact integer codes of all length-``block`` windows.
-    Codes are injective (base**block fits in 64 bits for every supported
-    alphabet/block combination), so no collision handling is needed."""
+def _window_codes(text: str, n: int, max_block: int, name: str):
+    """Yield the exact integer codes of all length-1, 2, ..., ``max_block``
+    windows of ``text``, the first ``n`` letters of a word.  Codes are
+    injective (base**max_block fits in 64 bits), so no collision handling
+    is needed."""
+    if not 1 <= max_block <= n:
+        raise ValueError(f"need 1 <= {name} <= n")
+    alphabet, codes = np.unique(np.frombuffer(text.encode("ascii"), dtype=np.uint8), return_inverse=True)
+    codes = codes.astype(np.int64)
+    base = max(2, len(alphabet))
+    if base**max_block > 2**62:
+        raise ValueError(f"{name} too long for exact window codes")
     cur = codes
-    for k in range(1, block):
+    yield cur
+    for k in range(1, max_block):
         cur = cur[:-1] * base + codes[k:]
-    return np.unique(cur, return_counts=True)
+        yield cur
 
 
 @dataclass(frozen=True)
@@ -81,21 +82,11 @@ def subword_census(word, block: int, n: int | None = None) -> Census:
     ``n`` letters."""
     text = _letters(word)
     n = len(text) if n is None else n
-    if not 1 <= block <= n:
-        raise ValueError("need 1 <= block <= n")
     text = text[:n]
-    alphabet, codes = _encode(text)
-    base = max(2, len(alphabet))
-    if base**block > 2**62:
-        raise ValueError("block too long for exact window codes")
-    values, counts = _window_counts(codes, base, block)
-    decoded: dict[str, int] = {}
-    for v, c in zip(values.tolist(), counts.tolist()):
-        digits = []
-        for _ in range(block):
-            v, d = divmod(v, base)
-            digits.append(alphabet[d])
-        decoded["".join(reversed(digits))] = c
+    for codes in _window_codes(text, n, block, "block"):
+        pass  # keep the codes of the length-``block`` windows
+    values, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    decoded = {text[i:i + block]: c for i, c in zip(first.tolist(), counts.tolist())}
     return Census(decoded, len(values), n - block + 1)
 
 
@@ -138,19 +129,9 @@ class EntropyProfile:
 def ks_profile(word, n: int | None = None, max_block: int = 16) -> EntropyProfile:
     text = _letters(word)
     n = len(text) if n is None else n
-    if not 1 <= max_block <= n:
-        raise ValueError("need 1 <= max_block <= n")
-    text = text[:n]
-    alphabet, codes = _encode(text)
-    base = max(2, len(alphabet))
-    if base**max_block > 2**62:
-        raise ValueError("max_block too long for exact window codes")
     entropy, distinct = [], []
-    cur = codes
-    for block in range(1, max_block + 1):
-        if block > 1:
-            cur = cur[:-1] * base + codes[block - 1:]
-        values, counts = np.unique(cur, return_counts=True)
+    for codes in _window_codes(text[:n], n, max_block, "max_block"):
+        values, counts = np.unique(codes, return_counts=True)
         entropy.append(_entropy_from_counts(counts))
         distinct.append(len(values))
     windows = n - max_block + 1

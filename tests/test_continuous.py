@@ -261,6 +261,42 @@ def test_find_periodic_orbit_fixed_point_in_ac_region():
     assert found is not None and found.winners == ("a",)
 
 
+def test_half_fallback_steps_match_fresh_dynamics():
+    # the margin gate once cached its answer under id(outcome); CPython
+    # reuses the id of a freed outcome, so a step could get the answer of
+    # the step before, which shows under the half fallback.  Building the
+    # fresh dynamics before the step on every other start varies which
+    # freed memory the step's outcome lands on.
+    rng = np.random.default_rng(0)
+    dyn = two_bloc_dynamics(fallback=Fallback.HALF)
+    view = two_bloc_view(dyn)
+    mismatches = 0
+    for i in range(3000):
+        s = view.state(rng.random(), rng.random())
+        for _ in range(10):
+            fresh = two_bloc_dynamics(fallback=Fallback.HALF) if i % 2 else None
+            nxt = dyn.step(s)
+            fresh = fresh or two_bloc_dynamics(fallback=Fallback.HALF)
+            mismatches += nxt != fresh.step(s)
+            s = nxt
+    assert mismatches == 0
+
+
+def test_rate_one_returns_the_shared_target_points():
+    dyn = embed_discrete(lr_cycle_electorate())
+    s = dyn.extreme_state({t.name: ballots[0] for t, ballots in zip(dyn.electorate.types, dyn.admissible)})
+    out = dyn.outcome(s)
+    key = (out.winner, out.runner_up)
+    assert all(point is table[key] for point, table in zip(dyn.step(s), dyn.targets))
+
+
+def test_rate_zero_returns_the_state():
+    dyn = two_bloc_dynamics(fallback=Fallback.KEEP)
+    s = two_bloc_view(dyn).state(1 / 3, 2 / 3)  # every margin is zero
+    assert dyn.rate(dyn.outcome(s)) == 0.0
+    assert dyn.step(s) is s
+
+
 def test_sup_distance_zero_on_self():
     dyn = two_bloc_dynamics()
     view = two_bloc_view(dyn)

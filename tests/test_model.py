@@ -12,10 +12,9 @@ from pollsim import (
     is_sincere,
     outcome_from_tally,
     sincere_ballots,
-    strict_prefers,
     tally,
 )
-from pollsim.model import is_degenerate_ballot
+from pollsim.model import is_degenerate_ballot, is_weakly_sincere
 from pollsim.strategies import Strategy
 
 from conftest import pref
@@ -45,15 +44,15 @@ def test_preference_validation(abcd):
     assert pref(abcd, "abcd").tie_free
 
 
-def test_strict_prefers(abcd):
+def test_preference_prefers(abcd):
     p = pref(abcd, "a(bc)d")
-    assert strict_prefers(p, "a", "b")
-    assert not strict_prefers(p, "b", "c")
-    assert not strict_prefers(p, "c", "b")
-    assert not strict_prefers(p, "a", "a")
-    assert strict_prefers(p, "b", "d")
+    assert p.prefers("a", "b")
+    assert not p.prefers("b", "c")
+    assert not p.prefers("c", "b")
+    assert not p.prefers("a", "a")
+    assert p.prefers("b", "d")
     with pytest.raises(ValueError):
-        strict_prefers(p, "a", "q")
+        p.prefers("a", "q")
 
 
 def test_is_sincere(abcd):
@@ -64,6 +63,10 @@ def test_is_sincere(abcd):
     assert is_sincere(p, frozenset("abcd"))
     assert is_sincere(p, frozenset("a"))
     assert not is_sincere(p, frozenset("b"))
+    # weak sincerity allows splitting the tie group {b, c}, nothing else
+    assert is_weakly_sincere(p, frozenset("ab"))
+    assert not is_weakly_sincere(p, frozenset("b"))
+    assert is_weakly_sincere(p, frozenset("abcd"))
 
 
 def test_sincere_ballots(abcd, abc):

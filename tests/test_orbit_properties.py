@@ -1,0 +1,72 @@
+"""Properties of the orbit generator over the planar, tent and two-bloc
+sources: winners words agree with collected orbits, thinned rows are
+slices of the full orbit, no step is taken past the last row, and
+two-bloc states stay on the simplex."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pollsim import Fallback, build_planar_map, build_tent_model, iterate_orbit, orbit_rows, winners_word
+from pollsim.presets import two_bloc_dynamics, two_bloc_view
+
+PLANAR = build_planar_map()
+TENT = build_tent_model()
+TWO_BLOC = {fb: two_bloc_dynamics(fallback=fb) for fb in Fallback}
+TENT_DEN = 5**12
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def source_and_start(draw):
+    kind = draw(st.sampled_from(["planar", "tent", "twobloc"]))
+    if kind == "planar":
+        return PLANAR, (draw(unit), draw(unit))
+    if kind == "tent":
+        return TENT, Fraction(draw(st.integers(0, TENT_DEN)), TENT_DEN)
+    dyn = TWO_BLOC[draw(st.sampled_from(list(Fallback)))]
+    return dyn, two_bloc_view(dyn).state(draw(unit), draw(unit))
+
+
+class Counting:
+    """A source that counts the steps taken through it."""
+
+    def __init__(self, source):
+        self.source, self.steps = source, 0
+
+    def step(self, state):
+        self.steps += 1
+        return self.source.step(state)
+
+    def winner(self, state):
+        return self.source.winner(state)
+
+
+@settings(deadline=None)
+@given(source_and_start(), st.integers(0, 60))
+def test_winners_word_matches_iterated_orbit(case, n):
+    source, start = case
+    assert iterate_orbit(source, start, n).winners == winners_word(source, start, n + 1).letters
+
+
+@settings(deadline=None)
+@given(source_and_start(), st.integers(0, 40), st.integers(1, 7), st.integers(0, 20))
+def test_thinned_rows_are_slices_of_the_full_orbit(case, n, keep_every, discard):
+    source, start = case
+    full = list(orbit_rows(source, start, discard + n))
+    counting = Counting(source)
+    rows = list(orbit_rows(counting, start, n, keep_every, discard))
+    assert rows == full[discard::keep_every]
+    assert counting.steps == rows[-1][0]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(Fallback)), unit, unit, st.integers(1, 60))
+def test_two_bloc_states_stay_on_the_simplex(fallback, x, z, n):
+    dyn = TWO_BLOC[fallback]
+    for _, state, _ in orbit_rows(dyn, two_bloc_view(dyn).state(x, z), n):
+        for point in state:
+            assert all(0.0 <= s <= 1.0 for s in point.shares)
+            assert abs(sum(point.shares) - 1.0) <= 1e-12
