@@ -20,7 +20,7 @@ from .cultures import CultureKind, CultureSpec
 from .dynamics import build_polling_graph, classify
 from .electorate_io import ParseError, export_dot, format_analysis, parse_electorate
 from .experiments import run_condition, table_csv
-from .majority import condorcet_analysis
+from .majority import condorcet_analysis, duel_matrix
 from .strategies import Strategy
 from .wordstats import detect_eventual_period, ks_entropy_estimate, ks_profile, winners_word
 
@@ -52,8 +52,9 @@ def _analysis(path: str, strong: bool = False):
     """Condorcet report, poll graph and its classification of an
     electorate file."""
     electorate = _load_electorate(path)
-    report = condorcet_analysis(electorate, strong=strong)
-    graph = build_polling_graph(electorate)
+    duel = duel_matrix(electorate)
+    report = condorcet_analysis(electorate, strong=strong, duel=duel)
+    graph = build_polling_graph(electorate, report=report, duel=duel)
     return report, graph, classify(graph, report)
 
 

@@ -80,48 +80,35 @@ def l1_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return float(sum(abs(a - b) for a, b in zip(p, q)))
 
 
-def _preference_from_order(cs: CandidateSet, names, order, limit_pos: int, mlr: bool) -> Preference:
-    """Preference from a most-to-least order of candidate indices; under
-    the modified leader rule everything ranked beyond the limit position
-    forms one terminal tie-group."""
-    if not mlr or limit_pos >= len(order):
-        groups = tuple(frozenset((names[c],)) for c in order)
-        rank = {names[c]: k for k, c in enumerate(order)}
-        return Preference._trusted(cs, groups, rank)
-    head = order[:limit_pos]
-    tail = order[limit_pos:]
-    groups = tuple(frozenset((names[c],)) for c in head)
-    rank = {names[c]: k for k, c in enumerate(head)}
-    if tail:
-        groups = groups + (frozenset(names[c] for c in tail),)
-        for c in tail:
-            rank[names[c]] = limit_pos
-    return Preference._trusted(cs, groups, rank)
+def _electorate(spec: CultureSpec, places: np.ndarray, limit: np.ndarray, weights: np.ndarray) -> Electorate:
+    """Electorate from each type's (types x candidates) places, 0 = most
+    preferred; under the modified leader rule every candidate placed at or
+    beyond the type's limit falls into one terminal tie-group."""
+    cs = CandidateSet(candidate_names(spec.n_candidates))
+    ranks = np.minimum(places, limit[:, None]) if spec.strategy is Strategy.MODIFIED_LEADER_RULE else places
+    types = (
+        VoterType(f"T{i}", Preference(cs, tuple(r)), w, spec.strategy)
+        for i, (r, w) in enumerate(zip(ranks.tolist(), weights.tolist()))
+    )
+    return Electorate(cs, tuple(types))
 
 
 def _sample_impartial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None) -> Electorate:
     nc, nt = spec.n_candidates, spec.n_types
-    names = candidate_names(nc)
-    cs = CandidateSet(names)
-    mlr = spec.strategy is Strategy.MODIFIED_LEADER_RULE
     weights = rng.random(nt)
-    orders = rng.permuted(np.tile(np.arange(nc + 1), (nt, 1)), axis=1).tolist()
-    types = []
-    for i in range(nt):
-        row = orders[i]
-        limit_pos = row.index(nc)
-        if stats is not None:
-            stats.setdefault("limit_ranks", []).append(limit_pos)
-        order = [c for c in row if c != nc]
-        pref = _preference_from_order(cs, names, order, limit_pos, mlr)
-        types.append(VoterType(f"T{i}", pref, float(weights[i]), spec.strategy))
-    return Electorate(cs, tuple(types))
+    # each row orders the candidates and the sentinel nc, which marks the
+    # approval limit; a candidate after the sentinel moves up one place
+    pos = np.argsort(rng.permuted(np.tile(np.arange(nc + 1), (nt, 1)), axis=1), axis=1)
+    limit = pos[:, nc]
+    places = pos[:, :nc] - (pos[:, :nc] > limit[:, None])
+    if stats is not None:
+        stats.setdefault("limit_ranks", []).extend(limit.tolist())
+    return _electorate(spec, places, limit, weights)
 
 
 def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None, want_positions: bool = True):
     nc, nt, d = spec.n_candidates, spec.n_types, spec.dimension
     names = candidate_names(nc)
-    cs = CandidateSet(names)
     mlr = spec.strategy is Strategy.MODIFIED_LEADER_RULE
     weights = rng.random(nt)
     cand_pos = rng.random((nc, d))
@@ -152,16 +139,14 @@ def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | N
             if not row_tied:
                 dist[i] = dist_i
                 break
+        else:
+            raise ValueError(f"type T{i}: distances still tied after 64 resamples")
 
-    orders = np.argsort(dist, axis=1, kind="stable").tolist()
-    limit_pos = (dist < thresholds[:, None]).sum(axis=1).tolist()
+    places = np.argsort(np.argsort(dist, axis=1, kind="stable"), axis=1)
+    limit = (dist < thresholds[:, None]).sum(axis=1)
     if stats is not None:
-        stats.setdefault("limit_ranks", []).extend(int(p) for p in limit_pos)
-    types = []
-    for i in range(nt):
-        pref = _preference_from_order(cs, names, orders[i], int(limit_pos[i]), mlr)
-        types.append(VoterType(f"T{i}", pref, float(weights[i]), spec.strategy))
-    electorate = Electorate(cs, tuple(types))
+        stats.setdefault("limit_ranks", []).extend(limit.tolist())
+    electorate = _electorate(spec, places, limit, weights)
     if not want_positions:
         return electorate, None
     model = PositionalModel(

@@ -117,37 +117,41 @@ def build_polling_graph(
     if duel is None:
         duel = duel_matrix(electorate)
     w1, w2, score_arr = _successors_and_scores(electorate, duel)
-    w1l, w2l = w1.tolist(), w2.tolist()
-    states = tuple(all_states(electorate))
-    successor: dict[PollState, PollState] = {}
-    for s in states:
-        i, j = electorate.candidates.index(s.winner), electorate.candidates.index(s.runner_up)
-        successor[s] = PollState(names[w1l[i][j]], names[w2l[i][j]])
+    # state (w, r) is the pair index w * n + r; `ids` lists the states in
+    # `all_states` order
+    succ = (w1 * n + w2).ravel().tolist()
+    state_of = [PollState(w, r) if w != r else None for w in names for r in names]
+    ids = [i for i, s in enumerate(state_of) if s is not None]
 
     # Functional-graph decomposition: walk each unresolved state until a
-    # known state or the current path repeats.
-    cycles: list[tuple[PollState, ...]] = []
-    cycle_index: dict[PollState, int] = {}
-    for s0 in states:
-        if s0 in cycle_index:
+    # resolved state or the current path repeats.  label[i] is the cycle
+    # index of a resolved state, -2 on the current path, -1 unvisited.
+    label = [-1] * (n * n)
+    cycle_ids: list[list[int]] = []
+    walk_order: list[int] = []
+    for s0 in ids:
+        if label[s0] >= 0:
             continue
-        path: list[PollState] = []
-        seen_at: dict[PollState, int] = {}
+        path: list[int] = []
         s = s0
-        while s not in cycle_index and s not in seen_at:
-            seen_at[s] = len(path)
+        while label[s] == -1:
+            label[s] = -2
             path.append(s)
-            s = successor[s]
-        if s in seen_at:
-            cyc = tuple(path[seen_at[s]:])
-            cycles.append(cyc)
-            target = len(cycles) - 1
+            s = succ[s]
+        if label[s] == -2:
+            cycle_ids.append(path[path.index(s):])
+            target = len(cycle_ids) - 1
         else:
-            target = cycle_index[s]
+            target = label[s]
         for t in path:
-            cycle_index[t] = target
+            label[t] = target
+        walk_order.extend(path)
 
-    basin = {k: frozenset(s for s in states if cycle_index[s] == k) for k in range(len(cycles))}
+    states = tuple(state_of[i] for i in ids)
+    successor = {state_of[i]: state_of[succ[i]] for i in ids}
+    cycles = [tuple(state_of[i] for i in c) for c in cycle_ids]
+    cycle_index = {state_of[i]: label[i] for i in walk_order}
+    basin = {k: frozenset(state_of[i] for i in ids if label[i] == k) for k in range(len(cycles))}
     if report is None:
         report = condorcet_analysis(electorate, duel=duel)
     return PollingGraph(

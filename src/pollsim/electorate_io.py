@@ -143,29 +143,17 @@ def preference_notation(pref: Preference) -> str:
 
 def _transient_heights(graph: PollingGraph) -> dict:
     """Longest incoming path length per transient state: the state cannot
-    occur after height+1 poll iterations."""
-    on_cycle = {s for cyc in graph.cycles for s in cyc}
-    preds: dict[PollState, list[PollState]] = {s: [] for s in graph.states}
-    for s, t in graph.successor.items():
-        preds[t].append(s)
+    occur after height+1 poll iterations.  Iterating the image of the
+    state set, a transient state of height h leaves it at iteration h+1."""
+    recurrent = sum(len(cyc) for cyc in graph.cycles)
     heights: dict[PollState, int] = {}
-
-    def height(s: PollState) -> int:
-        if s in heights:
-            return heights[s]
-        stack = [s]
-        while stack:
-            top = stack[-1]
-            pending = [p for p in preds[top] if p not in heights and p not in on_cycle]
-            if pending:
-                stack.extend(pending)
-                continue
-            ps = [heights[p] for p in preds[top] if p not in on_cycle]
-            heights[top] = 1 + max(ps) if ps else 0
-            stack.pop()
-        return heights[s]
-
-    return {s: height(s) for s in graph.states if s not in on_cycle}
+    image = set(graph.states)
+    k = 0
+    while len(image) > recurrent:
+        nxt = {graph.successor[s] for s in image}
+        heights.update((s, k) for s in image - nxt)
+        image, k = nxt, k + 1
+    return heights
 
 
 def export_dot(graph: PollingGraph, report: DynamicsReport | None = None) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import sqrt
 
@@ -84,25 +85,27 @@ def _count_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int]:
     return n_cw, n_bad
 
 
-def run_condition(spec: CultureSpec, n_trials: int, n_jobs: int = 1) -> ConditionResult:
+def run_table(specs: list[CultureSpec], n_trials: int, n_jobs: int = 1) -> list[ConditionResult]:
+    """One result per condition.  With ``n_jobs > 1`` the trials run in
+    chunks on one worker pool shared by all conditions."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    t0 = time.perf_counter()
-    if n_jobs <= 1:
-        n_cw, n_bad = _count_range((spec, 0, n_trials))
-    else:
-        chunk = max(64, n_trials // (4 * n_jobs))
-        tasks = [(spec, lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-        n_cw = n_bad = 0
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for c, b in pool.map(_count_range, tasks):
-                n_cw += c
-                n_bad += b
-    return ConditionResult(spec, n_trials, n_cw, n_bad, time.perf_counter() - t0)
+    chunk = n_trials if n_jobs <= 1 else max(64, n_trials // (4 * n_jobs))
+    results = []
+    with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for spec in specs:
+            t0 = time.perf_counter()
+            tasks = [(spec, lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+            counts = list(mapper(_count_range, tasks))
+            n_cw = sum(c for c, _ in counts)
+            n_bad = sum(b for _, b in counts)
+            results.append(ConditionResult(spec, n_trials, n_cw, n_bad, time.perf_counter() - t0))
+    return results
 
 
-def run_table(specs: list[CultureSpec], n_trials: int, n_jobs: int = 1) -> list[ConditionResult]:
-    return [run_condition(spec, n_trials, n_jobs) for spec in specs]
+def run_condition(spec: CultureSpec, n_trials: int, n_jobs: int = 1) -> ConditionResult:
+    return run_table([spec], n_trials, n_jobs)[0]
 
 
 def _fmt(x: float) -> str:

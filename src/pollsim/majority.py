@@ -95,8 +95,9 @@ def condorcet_analysis(
     # Consensual loser: a strict majority of the weight ranks her last
     # (possibly tied with others).
     consensual = None
+    worst = [(t.weight, t.preference.ranks, max(t.preference.ranks)) for t in electorate.types]
     for i, name in enumerate(names):
-        last_weight = sum(t.weight for t in electorate.types if name in t.preference.last_group)
+        last_weight = sum(w for w, ranks, m in worst if ranks[i] == m)
         if last_weight > total / 2:
             consensual = name
             break

@@ -1,6 +1,9 @@
 """Domain model for Approval Voting: candidates, preferences, ballots,
 electorates, and the tally/outcome computation.
 
+A preference is its rank vector, aligned with the candidate order; its
+tie-groups are a view derived from the ranks.
+
 Scores are 64-bit floats.  Integer-weighted electorates therefore tally
 exactly, while sampled real-valued weights make exact score ties a
 measure-zero event; score comparisons use plain float equality and ties
@@ -10,7 +13,8 @@ are broken by candidate declaration order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -54,47 +58,42 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Preference:
-    """Ordered tie-groups over the full candidate set.
+    """A weak order over the full candidate set, stored as its rank vector.
 
-    ``groups[0]`` holds the most preferred candidates; candidates within a
-    group are tied.  The groups partition the candidate set.
+    ``ranks[i]`` is the tie-group index of ``candidates.names[i]`` (0 =
+    most preferred); with k tie-groups the ranks are exactly 0..k-1.
+    Candidates of equal rank are tied.  `groups` is the tie-group view,
+    ``groups[0]`` holding the most preferred candidates.
     """
 
     candidates: CandidateSet
-    groups: tuple[Ballot, ...]
-    _rank: dict = field(init=False, repr=False, compare=False, hash=False)
+    ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[Candidate] = set()
-        rank: dict[Candidate, int] = {}
-        for i, group in enumerate(self.groups):
-            if not group:
-                raise ValueError("empty tie-group")
-            for name in group:
-                if name not in self.candidates:
-                    raise ValueError(f"unknown candidate {name!r}")
-                if name in seen:
-                    raise ValueError(f"candidate {name!r} repeated in preference")
-                seen.add(name)
-                rank[name] = i
-        if len(seen) != len(self.candidates):
-            missing = [n for n in self.candidates if n not in seen]
-            raise ValueError(f"incomplete preference, missing {missing}")
-        object.__setattr__(self, "_rank", rank)
+        if len(self.ranks) != len(self.candidates):
+            raise ValueError("a preference needs one rank per candidate")
+        used = set(self.ranks)
+        if used != set(range(len(used))):
+            raise ValueError(f"ranks must be exactly 0..k-1, got {self.ranks}")
 
     @classmethod
     def from_groups(cls, candidates: CandidateSet, groups: Iterable[Iterable[Candidate]]) -> "Preference":
-        return cls(candidates, tuple(frozenset(g) for g in groups))
-
-    @classmethod
-    def _trusted(cls, candidates: CandidateSet, groups: tuple, rank: dict) -> "Preference":
-        # bulk-sampling fast path: caller guarantees groups partition the
-        # candidate set and rank matches groups
-        self = object.__new__(cls)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "_rank", rank)
-        return self
+        """Validating constructor from most-to-least preferred tie-groups."""
+        rank: dict[Candidate, int] = {}
+        for i, group in enumerate(groups):
+            group = frozenset(group)
+            if not group:
+                raise ValueError("empty tie-group")
+            for name in group:
+                if name not in candidates:
+                    raise ValueError(f"unknown candidate {name!r}")
+                if name in rank:
+                    raise ValueError(f"candidate {name!r} repeated in preference")
+                rank[name] = i
+        if len(rank) != len(candidates):
+            missing = [n for n in candidates if n not in rank]
+            raise ValueError(f"incomplete preference, missing {missing}")
+        return cls(candidates, tuple(rank[n] for n in candidates))
 
     @classmethod
     def from_notation(cls, candidates: CandidateSet, text: str) -> "Preference":
@@ -122,12 +121,16 @@ class Preference:
             raise ValueError("unbalanced parenthesis in preference notation")
         return cls.from_groups(candidates, groups)
 
+    @cached_property
+    def groups(self) -> tuple[Ballot, ...]:
+        members: list[list[Candidate]] = [[] for _ in range(max(self.ranks) + 1)]
+        for name, r in zip(self.candidates.names, self.ranks):
+            members[r].append(name)
+        return tuple(frozenset(m) for m in members)
+
     def rank_of(self, name: Candidate) -> int:
         """Index of the tie-group containing ``name`` (0 = most preferred)."""
-        try:
-            return self._rank[name]
-        except KeyError:
-            raise ValueError(f"unknown candidate {name!r}") from None
+        return self.ranks[self.candidates.index(name)]
 
     def prefers(self, alpha: Candidate, beta: Candidate) -> bool:
         """True iff ``alpha`` is strictly preferred to ``beta``."""
@@ -135,7 +138,7 @@ class Preference:
 
     @property
     def tie_free(self) -> bool:
-        return all(len(g) == 1 for g in self.groups)
+        return max(self.ranks) == len(self.ranks) - 1
 
     @property
     def last_group(self) -> Ballot:
@@ -222,16 +225,11 @@ class Electorate:
         raise ValueError(f"unknown voter type {name!r}")
 
     def group_index_matrix(self):
-        """(n_types, n_candidates) int array of tie-group indices; shared by
-        the fast tally paths in `dynamics` and `majority`."""
+        """(n_types, n_candidates) int array of the types' rank vectors;
+        shared by the fast tally paths in `dynamics` and `majority`."""
         import numpy as np
 
-        n = len(self.candidates)
-        out = np.empty((len(self.types), n), dtype=np.int64)
-        for i, t in enumerate(self.types):
-            for j, c in enumerate(self.candidates):
-                out[i, j] = t.preference.rank_of(c)
-        return out
+        return np.array([t.preference.ranks for t in self.types], dtype=np.int64)
 
     def weights_array(self):
         import numpy as np

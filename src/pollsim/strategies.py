@@ -19,7 +19,7 @@ class Strategy(Enum):
 
 def _ballot(pref: Preference, winner: str, runner_up: str) -> Ballot:
     w_rank = pref.rank_of(winner)
-    approved = {c for c in pref.candidates if pref.rank_of(c) < w_rank}
+    approved = {c for c, r in zip(pref.candidates, pref.ranks) if r < w_rank}
     if w_rank < pref.rank_of(runner_up):
         approved.add(winner)
     return frozenset(approved)

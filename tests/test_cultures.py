@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pollsim import CultureKind, CultureSpec, condorcet_analysis, l1_distance, sample_electorate
-from pollsim.cultures import candidate_names, sample_spatial_electorate, trial_seed
+from pollsim.cultures import _sample_spatial, candidate_names, sample_spatial_electorate, trial_seed
 from pollsim.strategies import Strategy
 
 
@@ -96,6 +96,47 @@ def test_spatial_lr_preferences_are_tie_free_and_single_peaked():
             assert all(ranks[k] < ranks[k + 1] for k in range(top, len(ranks) - 1))
 
 
+def _reference_ranks(row, nc, mlr):
+    """Ranks from one impartial row, a permutation of the candidates and
+    the sentinel nc that marks the approval limit, by a plain loop."""
+    limit = row.index(nc)
+    order = [c for c in row if c != nc]
+    ranks = [0] * nc
+    for place, c in enumerate(order):
+        ranks[c] = min(place, limit) if mlr else place
+    return tuple(ranks)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEADER_RULE, Strategy.MODIFIED_LEADER_RULE])
+def test_impartial_ranks_match_reference_loop(strategy):
+    spec = spec_of(CultureKind.IMPARTIAL, strategy, seed=21)
+    nc, nt = spec.n_candidates, spec.n_types
+    for i in range(100):
+        rng = np.random.default_rng(trial_seed(spec.seed, i))
+        rng.random(nt)  # the weights are drawn first
+        rows = rng.permuted(np.tile(np.arange(nc + 1), (nt, 1)), axis=1).tolist()
+        e = sample_electorate(spec, i)
+        mlr = strategy is Strategy.MODIFIED_LEADER_RULE
+        assert [t.preference.ranks for t in e.types] == [_reference_ranks(r, nc, mlr) for r in rows]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEADER_RULE, Strategy.MODIFIED_LEADER_RULE])
+def test_spatial_ranks_match_distances(strategy):
+    # a candidate's place is the number of candidates strictly closer;
+    # MLR clips the places at the type's limit, its largest rank
+    spec = spec_of(CultureKind.SPATIAL, strategy, seed=22, d=2)
+    for i in range(100):
+        e, model = sample_spatial_electorate(spec, i)
+        for t in e.types:
+            pos = model.type_positions[t.name]
+            dist = [l1_distance(pos, model.candidate_positions[c]) for c in e.candidates]
+            places = [sum(o < x for o in dist) for x in dist]
+            ranks = t.preference.ranks
+            assert ranks == tuple(min(p, max(ranks)) for p in places)
+            if strategy is Strategy.LEADER_RULE:
+                assert ranks == tuple(places)
+
+
 def test_spatial_d1_always_has_condorcet_winner_under_lr():
     spec = spec_of(CultureKind.SPATIAL, Strategy.LEADER_RULE, seed=30, d=1)
     for i in range(500):
@@ -113,6 +154,8 @@ def test_mlr_groups_are_terminal_tie_only():
 
 
 def test_trusted_preferences_match_validating_constructor():
+    # the samplers build rank vectors directly; rebuilding each preference
+    # from its tie-groups through the validating constructor must agree
     from pollsim import Preference
 
     for kind, d in [(CultureKind.IMPARTIAL, 0), (CultureKind.SPATIAL, 3)]:
@@ -120,8 +163,26 @@ def test_trusted_preferences_match_validating_constructor():
         for i in range(50):
             e = sample_electorate(spec, i)
             for t in e.types:
-                rebuilt = Preference(t.preference.candidates, t.preference.groups)
+                rebuilt = Preference.from_groups(t.preference.candidates, t.preference.groups)
                 assert rebuilt == t.preference
                 assert all(
                     rebuilt.rank_of(c) == t.preference.rank_of(c) for c in e.candidates
                 )
+
+
+class _HalfRng:
+    """Stands in for a generator whose every draw is 0.5."""
+
+    def random(self, size=None):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEADER_RULE, Strategy.MODIFIED_LEADER_RULE])
+def test_spatial_sampler_raises_when_ties_persist(strategy):
+    # every candidate and type sits at 0.5, so every resample ties again;
+    # the sampler must not fall back to the stable sort's order
+    spec = spec_of(CultureKind.SPATIAL, strategy, nc=4, nt=3, d=1)
+    stats = {}
+    with pytest.raises(ValueError, match="T0"):
+        _sample_spatial(spec, _HalfRng(), stats)
+    assert stats["resamples"] == 64

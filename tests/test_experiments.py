@@ -1,6 +1,7 @@
 import pytest
 
 from pollsim import CultureKind, CultureSpec, run_condition, run_table, table_csv, wilson_interval
+from pollsim import experiments
 from pollsim.experiments import trial_outcome
 from pollsim.strategies import Strategy
 
@@ -66,3 +67,30 @@ def test_table_csv_shape_and_determinism():
     assert lines[2].split(",")[1] == "2"
     assert lines[1].split(",")[1] == ""  # impartial has no dimension
     assert csv1.endswith("\n") and "\r" not in csv1
+
+
+def test_run_table_opens_one_pool(monkeypatch):
+    class CountingPool:
+        opened = 0
+
+        def __init__(self, max_workers):
+            CountingPool.opened += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    specs = [_spec(seed=s) for s in range(3)]
+    serial = run_table(specs, 200, n_jobs=1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    pooled = run_table(specs, 200, n_jobs=2)
+    assert CountingPool.opened == 1
+    assert [(r.n_condorcet, r.n_bad) for r in pooled] == [(r.n_condorcet, r.n_bad) for r in serial]
+    assert all(r.runtime_s > 0 for r in pooled)
+    run_condition(specs[0], 200, n_jobs=2)
+    assert CountingPool.opened == 2

@@ -1,10 +1,14 @@
-"""Golden sha256 digests of CLI outputs and of a planar winners word,
-taken before continuous stepping and the orbit loops were folded into
-one path.  The half-fallback digests were checked against a computation
-without the margin gate's memo, which once let a step reuse the gate
-answer of the step before."""
+"""Golden sha256 digests of CLI outputs and of a planar winners word.
+
+The grid, orbit, entropy and word digests were taken before continuous
+stepping and the orbit loops were folded into one path; the half-fallback
+ones were checked against a computation without the margin gate's memo,
+which once let a step reuse the gate answer of the step before.  The
+Monte Carlo CSV and analyze/DOT digests were taken before preferences
+became rank vectors and the poll graph was decomposed on pair indices."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from pollsim import ReluctanceConfig, build_planar_map, winners_word
 from pollsim.cli import main
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
+DATA = Path(__file__).parent / "data"
 TWOBLOC = ["cpd-orbit", "--model", "twobloc", "--steps", "300", "--start", "0.3,0.7"]
 
 OUTPUTS = {
@@ -31,17 +36,45 @@ OUTPUTS = {
                    "d33f7227c2c987602178d3fabce9a1f287828e6be10dc0e41b657ea5a3667937"),
 }
 
+MC = ["mc", "--trials", "300", "--jobs", "1"]
+MC_OUTPUTS = {
+    "mc-impartial-lr": (MC + ["--culture", "impartial", "--strategy", "lr", "--candidates", "5",
+                              "--types", "15", "--seed", "11"],
+                        "20c85deabd71e1a850fefc17edb39c93057fb6939840f07ce0457ac2f3a1224d"),
+    "mc-impartial-mlr": (MC + ["--culture", "impartial", "--strategy", "mlr", "--candidates", "5",
+                               "--types", "15", "--seed", "12"],
+                         "6a22db5f733abc39315eca49b09ab118bb1e646bd156133aad5c07b64b1eb5fd"),
+    "mc-spatial-d1-mlr": (MC + ["--culture", "spatial", "--dim", "1", "--strategy", "mlr",
+                                "--candidates", "6", "--types", "20", "--seed", "13"],
+                          "78ee87567c4becdf0c7168e5c3591fdb628ea004c5e1834e4098e0e0199c20db"),
+}
+
+# the summary printed by `pollsim analyze` followed by its DOT file
+ANALYZE_OUTPUTS = {
+    "lr_cycle": "e60525a61a1eba58f12087e589e41f92a6741d82972d817dcc02d184a1d69412",
+    "consensual_loser": "bf02c5d1690638105d84ea094ef4323f66477e9298f07b6522bbf8798084b4cf",
+    "two_bloc": "bf02c5d1690638105d84ea094ef4323f66477e9298f07b6522bbf8798084b4cf",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", OUTPUTS)
+@pytest.mark.parametrize("name", [*OUTPUTS, *MC_OUTPUTS])
 def test_cli_output_digest(name, tmp_path):
-    argv, digest = OUTPUTS[name]
+    argv, digest = {**OUTPUTS, **MC_OUTPUTS}[name]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert _digest(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("name", ANALYZE_OUTPUTS)
+def test_analyze_dot_digest(name, capsys, tmp_path):
+    dot = tmp_path / "graph.dot"
+    assert main(["analyze", str(DATA / f"{name}.txt"), "--dot", str(dot)]) == 0
+    text = capsys.readouterr().out + dot.read_text()
+    assert _digest(text.encode()) == ANALYZE_OUTPUTS[name]
 
 
 def test_entropy_twobloc_half_digest(capsys, tmp_path):

@@ -44,6 +44,19 @@ def test_preference_validation(abcd):
     assert pref(abcd, "abcd").tie_free
 
 
+def test_preference_rank_vector(abcd):
+    p = pref(abcd, "a(bc)d")
+    assert p.ranks == (0, 1, 1, 2)
+    assert p == Preference(abcd, (0, 1, 1, 2))
+    assert p.last_group == frozenset("d")
+    with pytest.raises(ValueError, match="one rank per candidate"):
+        Preference(abcd, (0, 1, 2))
+    with pytest.raises(ValueError, match="0..k-1"):
+        Preference(abcd, (0, 2, 2, 3))
+    with pytest.raises(ValueError, match="empty"):
+        Preference.from_groups(abcd, [["a"], [], ["b", "c", "d"]])
+
+
 def test_preference_prefers(abcd):
     p = pref(abcd, "a(bc)d")
     assert p.prefers("a", "b")
