@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import behaviors, presets
-from .continuous import Fallback, TwoShareView, orbit_rows, perturbed_dynamics
+from .continuous import Fallback, orbit_rows
 from .cultures import CultureKind, CultureSpec
 from .dynamics import build_polling_graph, classify
 from .electorate_io import ParseError, export_dot, format_analysis, parse_electorate
@@ -98,13 +98,8 @@ def _planar_source(args):
     """The requested planar model as (source, state at (x, z), (x, z) of a
     state)."""
     if PLANAR_MODELS[args.model] == "twobloc":
-        dyn = perturbed_dynamics(
-            presets.two_bloc_electorate(),
-            p=args.p,
-            margin=args.theta,
-            fallback=Fallback(args.fallback),
-        )
-        view = TwoShareView(dyn, "X", frozenset("ab"), "Z", frozenset("ab"))
+        dyn = presets.two_bloc_dynamics(p=args.p, margin=args.theta, fallback=Fallback(args.fallback))
+        view = presets.two_bloc_view(dyn)
         return dyn, view.state, view.coords
     collab = behaviors.LinearClamped(args.kappa) if args.collab == "linear" else behaviors.RationalDecay(args.lam)
     nz, ny, nx, nw = args.weights

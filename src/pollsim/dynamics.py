@@ -15,6 +15,7 @@ with D the pairwise strict-preference weight matrix of `majority`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,25 +58,57 @@ def polling_step(electorate: Electorate, state: PollState) -> PollState:
 class PollingGraph:
     """Functional graph of the poll dynamics with its cycle decomposition.
 
-    ``basin[k]`` is the set of states that eventually reach ``cycles[k]``
-    (the cycle's own states included); the full score vector observed
-    from each state is kept and exposed through ``tally_at``.
+    The graph is stored on pair indices ``w * n + r`` (state (w, r) with
+    candidate indices w and r): ``succ[i]`` is the successor pair index of
+    i, ``label[i]`` the index of the cycle that i reaches (-1 on the
+    diagonal, where ``succ`` carries no state), and ``cycle_ids[k]`` lists
+    the pair indices of cycle k in orbit order.  ``score_array[w, r]`` is
+    the score vector observed from (w, r), exposed through ``tally_at``.
+
+    ``states``, ``successor``, ``cycles``, ``cycle_index`` and ``basin`` are
+    `PollState` views built on first use; ``basin[k]`` is the set of states
+    that eventually reach ``cycles[k]`` (the cycle's own states included).
     """
 
     electorate: Electorate
-    states: tuple[PollState, ...]
-    successor: dict
+    succ: list[int]
+    label: list[int]
+    cycle_ids: list[list[int]]
     score_array: np.ndarray
-    cycles: list
-    basin: dict
-    cycle_index: dict
     condorcet_winner: Candidate | None
+
+    @cached_property
+    def _state_of(self) -> list[PollState | None]:
+        """One `PollState` per pair index, None on the diagonal."""
+        names = self.electorate.candidates.names
+        return [PollState(w, r) if w != r else None for w in names for r in names]
+
+    @cached_property
+    def states(self) -> tuple[PollState, ...]:
+        return tuple(s for s in self._state_of if s is not None)
+
+    @cached_property
+    def successor(self) -> dict:
+        state_of = self._state_of
+        return {s: state_of[j] for s, j in zip(state_of, self.succ) if s is not None}
+
+    @cached_property
+    def cycles(self) -> list:
+        names = self.electorate.candidates.names
+        n = len(names)
+        return [tuple(PollState(names[i // n], names[i % n]) for i in c) for c in self.cycle_ids]
+
+    @cached_property
+    def cycle_index(self) -> dict:
+        return {s: k for s, k in zip(self._state_of, self.label) if s is not None}
+
+    @cached_property
+    def basin(self) -> dict:
+        index = self.cycle_index
+        return {k: frozenset(s for s in index if index[s] == k) for k in range(len(self.cycle_ids))}
 
     def is_fixed_point(self, state: PollState) -> bool:
         return self.successor[state] == state
-
-    def cycle_of(self, state: PollState) -> int:
-        return self.cycle_index[state]
 
     def tally_at(self, state: PollState) -> Tally:
         """Scores of the election triggered by expecting ``state``."""
@@ -84,10 +117,10 @@ class PollingGraph:
         return Tally(self.electorate.candidates, tuple(float(x) for x in self.score_array[i, j]))
 
 
-def _successors_and_scores(electorate: Electorate, duel: np.ndarray | None = None):
-    """Vectorized transition table: returns (w1, w2, score_array) where
-    score_array[w, r] is the tally seen from state (w, r)."""
-    d = duel_matrix(electorate) if duel is None else duel
+def _successors_and_scores(d: np.ndarray):
+    """Vectorized transition table from the duel matrix: returns (w1, w2,
+    score_array) where score_array[w, r] is the tally seen from state
+    (w, r)."""
     n = d.shape[0]
     scores = np.repeat(d.T[:, None, :], n, axis=1)
     idx = np.arange(n)
@@ -106,8 +139,7 @@ def build_polling_graph(
 ) -> PollingGraph:
     """Build the full transition graph; a precomputed Condorcet report
     and/or duel matrix can be supplied to avoid recomputation."""
-    names = electorate.candidates.names
-    n = len(names)
+    n = len(electorate.candidates)
     if n < 2:
         raise ValueError("need at least two candidates")
     for t in electorate.types:
@@ -116,21 +148,17 @@ def build_polling_graph(
 
     if duel is None:
         duel = duel_matrix(electorate)
-    w1, w2, score_arr = _successors_and_scores(electorate, duel)
-    # state (w, r) is the pair index w * n + r; `ids` lists the states in
-    # `all_states` order
+    w1, w2, score_arr = _successors_and_scores(duel)
     succ = (w1 * n + w2).ravel().tolist()
-    state_of = [PollState(w, r) if w != r else None for w in names for r in names]
-    ids = [i for i, s in enumerate(state_of) if s is not None]
 
     # Functional-graph decomposition: walk each unresolved state until a
     # resolved state or the current path repeats.  label[i] is the cycle
-    # index of a resolved state, -2 on the current path, -1 unvisited.
+    # index of a resolved state, -2 on the current path, -1 unvisited (and
+    # on the diagonal w * (n + 1), which no walk reaches).
     label = [-1] * (n * n)
     cycle_ids: list[list[int]] = []
-    walk_order: list[int] = []
-    for s0 in ids:
-        if label[s0] >= 0:
+    for s0 in range(n * n):
+        if label[s0] >= 0 or s0 % (n + 1) == 0:
             continue
         path: list[int] = []
         s = s0
@@ -145,23 +173,15 @@ def build_polling_graph(
             target = label[s]
         for t in path:
             label[t] = target
-        walk_order.extend(path)
 
-    states = tuple(state_of[i] for i in ids)
-    successor = {state_of[i]: state_of[succ[i]] for i in ids}
-    cycles = [tuple(state_of[i] for i in c) for c in cycle_ids]
-    cycle_index = {state_of[i]: label[i] for i in walk_order}
-    basin = {k: frozenset(state_of[i] for i in ids if label[i] == k) for k in range(len(cycles))}
     if report is None:
         report = condorcet_analysis(electorate, duel=duel)
     return PollingGraph(
         electorate=electorate,
-        states=states,
-        successor=successor,
+        succ=succ,
+        label=label,
+        cycle_ids=cycle_ids,
         score_array=score_arr,
-        cycles=cycles,
-        basin=basin,
-        cycle_index=cycle_index,
         condorcet_winner=report.condorcet_winner,
     )
 
@@ -205,7 +225,7 @@ def classify(graph: PollingGraph, report: CondorcetReport) -> DynamicsReport:
                 period=len(cyc),
                 trivial=trivial,
                 bad=bad,
-                basin_size=len(graph.basin[k]),
+                basin_size=graph.label.count(k),
             )
         )
     return DynamicsReport(

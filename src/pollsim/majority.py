@@ -21,8 +21,8 @@ class DuelResult(Enum):
 def duel_matrix(electorate: Electorate) -> np.ndarray:
     """D[i, j] = total weight of voters strictly preferring candidate i to
     candidate j (indifferent voters abstain)."""
-    g = electorate.group_index_matrix()
-    w = electorate.weights_array()
+    g = np.array([t.preference.ranks for t in electorate.types], dtype=np.int64)
+    w = np.array([t.weight for t in electorate.types], dtype=np.float64)
     strict = g[:, :, None] < g[:, None, :]
     return np.einsum("t,tij->ij", w, strict)
 
@@ -56,41 +56,36 @@ def condorcet_analysis(
 ) -> CondorcetReport:
     """Full majority-graph report.
 
-    With ``strong=True`` the winner must be preferred by a strict majority
-    of the whole electorate (abstainers counted in the denominator); the
-    two definitions coincide on tie-free preferences.  A precomputed
-    `duel_matrix` can be passed to avoid recomputing it.
+    Every field derives from two relations on the duel matrix D: ``wins``
+    (D[i, j] > D[j, i], which gives `domination`) and ``beats``, the
+    Condorcet relation.  ``beats`` is ``wins``, or with ``strong=True``
+    D[i, j] > total / 2: the winner must then be preferred by a strict
+    majority of the whole electorate (abstainers counted in the
+    denominator); the two definitions coincide on tie-free preferences.
+    The winner beats every other candidate and the loser is beaten by
+    every other one; the Condorcet order sorts the candidates by how many
+    they beat and exists when each one beats all that follow it.  A
+    precomputed `duel_matrix` can be passed to avoid recomputing it.
     """
     names = electorate.candidates.names
     n = len(names)
-    d = (duel_matrix(electorate) if duel is None else duel).tolist()
+    d = duel_matrix(electorate) if duel is None else duel
     total = electorate.total_weight
+    wins = d > d.T
+    beats = d > total / 2 if strong else wins
 
-    domination: dict[tuple[Candidate, Candidate], DuelResult] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if d[i][j] > d[j][i]:
-                domination[(names[i], names[j])] = DuelResult.DOMINATES
-            elif d[i][j] < d[j][i]:
-                domination[(names[i], names[j])] = DuelResult.DOMINATED
-            else:
-                domination[(names[i], names[j])] = DuelResult.TIE
+    kinds = (DuelResult.TIE, DuelResult.DOMINATES, DuelResult.DOMINATED)
+    duel_kind = (wins + 2 * wins.T).tolist()  # 1: i wins, 2: j wins, 0: tie
+    domination = {
+        (a, b): kinds[duel_kind[i][j]] for i, a in enumerate(names) for j, b in enumerate(names) if i != j
+    }
 
-    def dominated_by(i: int, j: int) -> bool:
-        # does j dominate i?
-        if strong:
-            return d[j][i] > total / 2
-        return d[j][i] > d[i][j]
-
-    winner = None
-    loser = None
-    for i in range(n):
-        if all(dominated_by(j, i) for j in range(n) if j != i):
-            winner = names[i]
-        if all(dominated_by(i, j) for j in range(n) if j != i):
-            loser = names[i]
+    # the diagonal of `beats` is False (D[i, i] = 0 and the total is
+    # positive), so beating n - 1 candidates is beating every other one
+    n_beaten = beats.sum(axis=1).tolist()
+    n_beaten_by = beats.sum(axis=0).tolist()
+    winner = names[n_beaten.index(n - 1)] if n - 1 in n_beaten else None
+    loser = names[n_beaten_by.index(n - 1)] if n - 1 in n_beaten_by else None
 
     # Consensual loser: a strict majority of the weight ranks her last
     # (possibly tied with others).
@@ -102,17 +97,12 @@ def condorcet_analysis(
             consensual = name
             break
 
-    # Condorcet order: sort by domination wins, then verify the chain.
-    wins = [(sum(1 for j in range(n) if j != i and dominated_by(j, i)), i) for i in range(n)]
-    order_idx = [i for _, i in sorted(wins, key=lambda p: (-p[0], p[1]))]
-    order: tuple[Candidate, ...] | None = tuple(names[i] for i in order_idx)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not dominated_by(order_idx[b], order_idx[a]):
-                order = None
-                break
-        if order is None:
-            break
+    # Condorcet order: sort by the number of candidates beaten, then check
+    # that each one beats all that follow it.
+    order_idx = sorted(range(n), key=lambda i: -n_beaten[i])
+    b = beats.tolist()
+    chain = all(b[order_idx[x]][order_idx[y]] for x in range(n) for y in range(x + 1, n))
+    order = tuple(names[i] for i in order_idx) if chain else None
 
     return CondorcetReport(
         candidates=names,
@@ -160,15 +150,14 @@ def median_candidate(model: PositionalModel, electorate: Electorate) -> tuple[st
     total = electorate.total_weight
     by_pos = sorted(electorate.types, key=lambda t: type_pos[t.name])
     acc = 0.0
-    median_type = None
-    for t in by_pos:
-        acc += t.weight
+    # the weights are finite and their total positive, so the running sum
+    # passes half the total and the loop always breaks
+    for median in by_pos:
+        acc += median.weight
         if acc == total / 2:
             raise ValueError("genericity violated: a half/half weight split exists")
         if acc > total / 2:
-            median_type = t
             break
-    assert median_type is not None
-    m = type_pos[median_type.name]
+    m = type_pos[median.name]
     mu = min(electorate.candidates, key=lambda c: abs(cand_pos[c] - m))
-    return median_type.name, mu
+    return median.name, mu

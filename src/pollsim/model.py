@@ -12,6 +12,7 @@ are broken by candidate declaration order.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -195,8 +196,8 @@ class VoterType:
     strategy: "Strategy"
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"negative weight for type {self.name!r}")
+        if not math.isfinite(self.weight) or self.weight < 0:
+            raise ValueError(f"weight of type {self.name!r} must be finite and non-negative, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -217,24 +218,6 @@ class Electorate:
     @property
     def total_weight(self) -> float:
         return sum(t.weight for t in self.types)
-
-    def type_named(self, name: str) -> VoterType:
-        for t in self.types:
-            if t.name == name:
-                return t
-        raise ValueError(f"unknown voter type {name!r}")
-
-    def group_index_matrix(self):
-        """(n_types, n_candidates) int array of the types' rank vectors;
-        shared by the fast tally paths in `dynamics` and `majority`."""
-        import numpy as np
-
-        return np.array([t.preference.ranks for t in self.types], dtype=np.int64)
-
-    def weights_array(self):
-        import numpy as np
-
-        return np.array([t.weight for t in self.types], dtype=np.float64)
 
 
 @dataclass(frozen=True)

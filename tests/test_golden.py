@@ -5,7 +5,10 @@ stepping and the orbit loops were folded into one path; the half-fallback
 ones were checked against a computation without the margin gate's memo,
 which once let a step reuse the gate answer of the step before.  The
 Monte Carlo CSV and analyze/DOT digests were taken before preferences
-became rank vectors and the poll graph was decomposed on pair indices."""
+became rank vectors and the poll graph was decomposed on pair indices;
+the `analyze --strong` ones before the poll graph kept only its
+pair-index arrays and the Condorcet report was derived from one majority
+relation."""
 
 import hashlib
 from pathlib import Path
@@ -55,6 +58,12 @@ ANALYZE_OUTPUTS = {
     "consensual_loser": "bf02c5d1690638105d84ea094ef4323f66477e9298f07b6522bbf8798084b4cf",
     "two_bloc": "bf02c5d1690638105d84ea094ef4323f66477e9298f07b6522bbf8798084b4cf",
 }
+# the same under `--strong`, the strict-majority Condorcet definition
+STRONG_OUTPUTS = {
+    "lr_cycle": "e60525a61a1eba58f12087e589e41f92a6741d82972d817dcc02d184a1d69412",
+    "consensual_loser": "d12b92c86d248ad7c98729720dce50c1fa711a3da81a7452feffb5b100348592",
+    "two_bloc": "c33c66805abcfe01b847e87b3c295105575f5a80fbe831ead07503bc9714bf7e",
+}
 
 
 def _digest(data: bytes) -> str:
@@ -69,12 +78,20 @@ def test_cli_output_digest(name, tmp_path):
     assert _digest(out.read_bytes()) == digest
 
 
+def _analyze_digest(argv, capsys, tmp_path) -> str:
+    dot = tmp_path / "graph.dot"
+    assert main(["analyze", *argv, "--dot", str(dot)]) == 0
+    return _digest((capsys.readouterr().out + dot.read_text()).encode())
+
+
 @pytest.mark.parametrize("name", ANALYZE_OUTPUTS)
 def test_analyze_dot_digest(name, capsys, tmp_path):
-    dot = tmp_path / "graph.dot"
-    assert main(["analyze", str(DATA / f"{name}.txt"), "--dot", str(dot)]) == 0
-    text = capsys.readouterr().out + dot.read_text()
-    assert _digest(text.encode()) == ANALYZE_OUTPUTS[name]
+    assert _analyze_digest([str(DATA / f"{name}.txt")], capsys, tmp_path) == ANALYZE_OUTPUTS[name]
+
+
+@pytest.mark.parametrize("name", STRONG_OUTPUTS)
+def test_analyze_strong_dot_digest(name, capsys, tmp_path):
+    assert _analyze_digest([str(DATA / f"{name}.txt"), "--strong"], capsys, tmp_path) == STRONG_OUTPUTS[name]
 
 
 def test_entropy_twobloc_half_digest(capsys, tmp_path):

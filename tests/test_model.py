@@ -194,3 +194,11 @@ def test_electorate_validation(abc):
         Electorate(abc, (VoterType("Z", p, 0.0, Strategy.LEADER_RULE),))
     with pytest.raises(ValueError):
         VoterType("Z", p, -1.0, Strategy.LEADER_RULE)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_voter_type_rejects_non_finite_weight(abc, weight):
+    # a NaN weight used to pass and make the total weight NaN, which the
+    # electorate's positivity check let through
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        VoterType("Z", pref(abc, "abc"), weight, Strategy.LEADER_RULE)

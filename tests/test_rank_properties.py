@@ -3,21 +3,31 @@ on random electorates with ties and small integer weights: the graph's
 successors agree with the explicit-ballot step (exact score ties included,
 so the tie-break order is exercised), tie-groups round-trip through the
 validating constructor, and electorates round-trip through their text
-form."""
+form.  The poll graph's state views agree with its successor map, and the
+weak and strong Condorcet reports agree with a pairwise reference written
+from the definitions."""
+
+from itertools import permutations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pollsim import (
     CandidateSet,
+    DuelResult,
     Electorate,
+    PollState,
     Preference,
     VoterType,
     build_polling_graph,
+    classify,
+    condorcet_analysis,
     parse_electorate,
     polling_step,
     serialize_electorate,
 )
+from pollsim.dynamics import all_states
+from pollsim.presets import lr_cycle_electorate
 from pollsim.strategies import Strategy
 
 
@@ -71,3 +81,92 @@ def test_groups_round_trip_through_validating_constructor(data):
 @given(electorates())
 def test_serialized_electorate_parses_back(e):
     assert parse_electorate(serialize_electorate(e)) == e
+
+
+@settings(deadline=None, max_examples=300)
+@given(electorates())
+def test_graph_views_agree_with_successor_map(e):
+    g = build_polling_graph(e)
+    succ = g.successor
+    assert g.states == tuple(all_states(e))
+    assert set(succ) == set(g.cycle_index) == set(g.states)
+    on_cycle = {s: k for k, cyc in enumerate(g.cycles) for s in cyc}
+    assert len(on_cycle) == sum(len(cyc) for cyc in g.cycles)
+    for cyc in g.cycles:
+        assert [succ[s] for s in cyc] == [*cyc[1:], cyc[0]]
+    n = len(e.candidates)
+    for s in g.states:
+        t = s
+        for _ in range(n * (n - 1)):
+            t = succ[t]
+        assert on_cycle[t] == g.cycle_index[s]
+    assert sorted(g.basin) == list(range(len(g.cycles)))
+    for k, members in g.basin.items():
+        assert members == {s for s in g.states if g.cycle_index[s] == k}
+    dyn = classify(g, condorcet_analysis(e))
+    assert [c.basin_size for c in dyn.cycles] == [len(g.basin[k]) for k in range(len(g.cycles))]
+
+
+def _reference_report(e: Electorate, strong: bool) -> dict:
+    """The Condorcet report from the definitions, one pair at a time."""
+    names = e.candidates.names
+    total = sum(t.weight for t in e.types)
+
+    def support(a, b):
+        return sum(t.weight for t in e.types if t.preference.prefers(a, b))
+
+    def beats(a, b):
+        return support(a, b) > (total / 2 if strong else support(b, a))
+
+    def duel(a, b):
+        if support(a, b) > support(b, a):
+            return DuelResult.DOMINATES
+        return DuelResult.DOMINATED if support(a, b) < support(b, a) else DuelResult.TIE
+
+    def ranked_last(t, c):
+        return t.preference.rank_of(c) == max(t.preference.ranks)
+
+    return {
+        "domination": {(a, b): duel(a, b) for a in names for b in names if a != b},
+        "winner": next((a for a in names if all(beats(a, b) for b in names if b != a)), None),
+        "loser": next((a for a in names if all(beats(b, a) for b in names if b != a)), None),
+        "consensual": next(
+            (c for c in names if sum(t.weight for t in e.types if ranked_last(t, c)) > total / 2), None
+        ),
+        "order": next(
+            (p for p in permutations(names) if all(beats(p[i], p[j]) for j in range(len(p)) for i in range(j))),
+            None,
+        ),
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(electorates(), st.booleans())
+def test_condorcet_report_matches_pairwise_reference(e, strong):
+    rep = condorcet_analysis(e, strong=strong)
+    got = {
+        "domination": rep.domination,
+        "winner": rep.condorcet_winner,
+        "loser": rep.condorcet_loser,
+        "consensual": rep.consensual_loser,
+        "order": rep.condorcet_order,
+    }
+    assert got == _reference_report(e, strong)
+
+
+def test_graph_builds_no_poll_state_and_classify_only_cycle_states(monkeypatch):
+    made = []
+    check = PollState.__post_init__
+
+    def counting(state):
+        made.append(state)
+        check(state)
+
+    monkeypatch.setattr(PollState, "__post_init__", counting)
+    e = lr_cycle_electorate()
+    report = condorcet_analysis(e)
+    g = build_polling_graph(e, report=report)
+    assert made == []
+    classify(g, report)
+    assert sorted(made) == sorted(s for cyc in g.cycles for s in cyc)
+    assert len(made) == 4  # the fixed point ad and the 3-cycle ba -> da -> ca
