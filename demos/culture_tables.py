@@ -40,7 +40,8 @@ def main():
     results = run_table(specs, args.trials, n_jobs=args.jobs)
     for r in results:
         d = "impartial" if r.spec.kind is CultureKind.IMPARTIAL else f"d={r.spec.dimension}"
-        print(f"{d:>10} {r.spec.strategy.value:>8} | {r.cw_rate:>8.1%} | {r.bad_rate:>11.2%}")
+        bad = "undefined" if r.bad_rate is None else f"{r.bad_rate:.2%}"
+        print(f"{d:>10} {r.spec.strategy.value:>8} | {r.cw_rate:>8.1%} | {bad:>11}")
 
     OUT.mkdir(exist_ok=True)
     path = OUT / "culture_table.csv"

@@ -80,12 +80,9 @@ def l1_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return float(sum(abs(a - b) for a, b in zip(p, q)))
 
 
-def _electorate(spec: CultureSpec, places: np.ndarray, limit: np.ndarray, weights: np.ndarray) -> Electorate:
-    """Electorate from each type's (types x candidates) places, 0 = most
-    preferred; under the modified leader rule every candidate placed at or
-    beyond the type's limit falls into one terminal tie-group."""
+def _electorate(spec: CultureSpec, ranks: np.ndarray, weights: np.ndarray) -> Electorate:
+    """Electorate from a (types x candidates) rank matrix, 0 = most preferred."""
     cs = CandidateSet(candidate_names(spec.n_candidates))
-    ranks = np.minimum(places, limit[:, None]) if spec.strategy is Strategy.MODIFIED_LEADER_RULE else places
     types = (
         VoterType(f"T{i}", Preference(cs, tuple(r)), w, spec.strategy)
         for i, (r, w) in enumerate(zip(ranks.tolist(), weights.tolist()))
@@ -93,7 +90,20 @@ def _electorate(spec: CultureSpec, places: np.ndarray, limit: np.ndarray, weight
     return Electorate(cs, tuple(types))
 
 
-def _sample_impartial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None) -> Electorate:
+def _ranks(spec: CultureSpec, places: np.ndarray, limit: np.ndarray, stats: dict | None) -> np.ndarray:
+    """Ranks from each type's places and approval limit: under the modified
+    leader rule every candidate placed at or beyond the limit falls into
+    one terminal tie-group."""
+    if stats is not None:
+        stats.setdefault("limit_ranks", []).extend(limit.tolist())
+    if spec.strategy is Strategy.MODIFIED_LEADER_RULE:
+        return np.minimum(places, limit[:, None])
+    return places
+
+
+def _sample_impartial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None):
+    """(ranks, weights) of one impartial trial: the (types x candidates)
+    rank matrix, clipped under the modified leader rule, and the weights."""
     nc, nt = spec.n_candidates, spec.n_types
     weights = rng.random(nt)
     # each row orders the candidates and the sentinel nc, which marks the
@@ -101,14 +111,13 @@ def _sample_impartial(spec: CultureSpec, rng: np.random.Generator, stats: dict |
     pos = np.argsort(rng.permuted(np.tile(np.arange(nc + 1), (nt, 1)), axis=1), axis=1)
     limit = pos[:, nc]
     places = pos[:, :nc] - (pos[:, :nc] > limit[:, None])
-    if stats is not None:
-        stats.setdefault("limit_ranks", []).extend(limit.tolist())
-    return _electorate(spec, places, limit, weights)
+    return _ranks(spec, places, limit, stats), weights
 
 
-def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None, want_positions: bool = True):
+def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None):
+    """(ranks, weights, candidate positions, type positions) of one spatial
+    trial; the ranks are clipped under the modified leader rule."""
     nc, nt, d = spec.n_candidates, spec.n_types, spec.dimension
-    names = candidate_names(nc)
     mlr = spec.strategy is Strategy.MODIFIED_LEADER_RULE
     weights = rng.random(nt)
     cand_pos = rng.random((nc, d))
@@ -120,7 +129,8 @@ def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | N
     else:
         thresholds = np.full(nt, np.inf)
 
-    dist = np.abs(type_pos[:, None, :] - cand_pos[None, :, :]).sum(axis=2)
+    diff = type_pos[:, None, :] - cand_pos[None, :, :]
+    dist = np.abs(diff, out=diff).sum(axis=2)  # in place: a second temporary is slow at d = 400
     # exact float ties are measure-zero; resample the offending type's
     # position (and its limit draw) rather than break ties arbitrarily
     sorted_d = np.sort(dist, axis=1)
@@ -144,24 +154,23 @@ def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | N
 
     places = np.argsort(np.argsort(dist, axis=1, kind="stable"), axis=1)
     limit = (dist < thresholds[:, None]).sum(axis=1)
-    if stats is not None:
-        stats.setdefault("limit_ranks", []).extend(limit.tolist())
-    electorate = _electorate(spec, places, limit, weights)
-    if not want_positions:
-        return electorate, None
-    model = PositionalModel(
-        candidate_positions={names[c]: tuple(float(x) for x in cand_pos[c]) for c in range(nc)},
-        type_positions={f"T{i}": tuple(float(x) for x in type_pos[i]) for i in range(nt)},
-    )
-    return electorate, model
+    return _ranks(spec, places, limit, stats), weights, cand_pos, type_pos
 
 
-def sample_electorate(spec: CultureSpec, trial_index: int, *, stats: dict | None = None) -> Electorate:
+def sample_ranks(spec: CultureSpec, trial_index: int, *, stats: dict | None = None):
+    """(ranks, weights) of one trial: the (types x candidates) rank matrix
+    and the weight vector that `sample_electorate` wraps.  They are drawn
+    from the trial's own stream in the documented order, so stacking them
+    (`experiments._count_range` evaluates `experiments._SLICE` trials at a
+    time) changes no drawn value."""
     rng = np.random.default_rng(trial_seed(spec.seed, trial_index))
     if spec.kind is CultureKind.IMPARTIAL:
         return _sample_impartial(spec, rng, stats)
-    electorate, _ = _sample_spatial(spec, rng, stats, want_positions=False)
-    return electorate
+    return _sample_spatial(spec, rng, stats)[:2]
+
+
+def sample_electorate(spec: CultureSpec, trial_index: int, *, stats: dict | None = None) -> Electorate:
+    return _electorate(spec, *sample_ranks(spec, trial_index, stats=stats))
 
 
 def sample_spatial_electorate(
@@ -172,4 +181,10 @@ def sample_spatial_electorate(
     if spec.kind is not CultureKind.SPATIAL:
         raise ValueError("positions only exist for spatial cultures")
     rng = np.random.default_rng(trial_seed(spec.seed, trial_index))
-    return _sample_spatial(spec, rng, stats)
+    ranks, weights, cand_pos, type_pos = _sample_spatial(spec, rng, stats)
+    names = candidate_names(spec.n_candidates)
+    model = PositionalModel(
+        candidate_positions={names[c]: tuple(p) for c, p in enumerate(cand_pos.tolist())},
+        type_positions={f"T{i}": tuple(p) for i, p in enumerate(type_pos.tolist())},
+    )
+    return _electorate(spec, ranks, weights), model

@@ -14,7 +14,7 @@ with D the pairwise strict-preference weight matrix of `majority`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -74,7 +74,7 @@ class PollingGraph:
     succ: list[int]
     label: list[int]
     cycle_ids: list[list[int]]
-    score_array: np.ndarray
+    score_array: np.ndarray = field(compare=False)  # a function of `electorate`
     condorcet_winner: Candidate | None
 
     @cached_property
@@ -118,17 +118,19 @@ class PollingGraph:
 
 
 def _successors_and_scores(d: np.ndarray):
-    """Vectorized transition table from the duel matrix: returns (w1, w2,
-    score_array) where score_array[w, r] is the tally seen from state
-    (w, r)."""
-    n = d.shape[0]
-    scores = np.repeat(d.T[:, None, :], n, axis=1)
+    """Vectorized transition tables of a stack of duel matrices, shape
+    (B, n, n): returns (w1, w2, score_array), where w1[b, w, r] and
+    w2[b, w, r] are the winner and runner-up elected from state (w, r) of
+    electorate b and score_array[b, w, r] is the tally seen from it.  The
+    Monte Carlo kernel passes a slice of at most `experiments._SLICE`
+    trials and `build_polling_graph` a stack of one, so the table has this
+    one implementation."""
+    n = d.shape[-1]
+    scores = np.repeat(d.transpose(0, 2, 1)[:, :, None, :], n, axis=2)
     idx = np.arange(n)
-    scores[idx[:, None], idx[None, :], idx[:, None]] += d
-    w1 = scores.argmax(axis=2)  # argmax takes the first maximum: the tie-break order
-    masked = scores.copy()
-    masked[idx[:, None], idx[None, :], w1] = -np.inf
-    w2 = masked.argmax(axis=2)
+    scores[:, idx, :, idx] = d.transpose(1, 0, 2)  # score(w) = D[w, r]
+    w1 = scores.argmax(axis=3)  # argmax takes the first maximum: the tie-break order
+    w2 = np.where(idx == w1[..., None], -np.inf, scores).argmax(axis=3)
     return w1, w2, scores
 
 
@@ -148,8 +150,8 @@ def build_polling_graph(
 
     if duel is None:
         duel = duel_matrix(electorate)
-    w1, w2, score_arr = _successors_and_scores(duel)
-    succ = (w1 * n + w2).ravel().tolist()
+    w1, w2, score_arr = _successors_and_scores(duel[None])
+    succ = (w1[0] * n + w2[0]).ravel().tolist()
 
     # Functional-graph decomposition: walk each unresolved state until a
     # resolved state or the current path repeats.  label[i] is the cycle
@@ -181,7 +183,7 @@ def build_polling_graph(
         succ=succ,
         label=label,
         cycle_ids=cycle_ids,
-        score_array=score_arr,
+        score_array=score_arr[0],
         condorcet_winner=report.condorcet_winner,
     )
 

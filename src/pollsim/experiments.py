@@ -15,9 +15,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from math import sqrt
 
-from .cultures import CultureKind, CultureSpec, sample_electorate
-from .dynamics import build_polling_graph, classify
-from .majority import condorcet_analysis, duel_matrix
+import numpy as np
+
+from .cultures import CultureKind, CultureSpec, sample_electorate, sample_ranks
+from .dynamics import _successors_and_scores, build_polling_graph, classify
+from .majority import condorcet_analysis, duel_matrix, duel_tensor
 
 Z95 = 1.959964
 
@@ -75,13 +77,38 @@ def trial_outcome(spec: CultureSpec, trial_index: int) -> tuple[bool, bool]:
     return True, bool(dyn.is_bad)
 
 
+_SLICE = 64  # trials per stacked evaluation in `_count_range`; bounds its arrays, and larger was no faster
+
+
 def _count_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int]:
+    """(Condorcet winners, bad trials) over trials ``start .. stop - 1``.
+
+    The batched kernel behind `run_table`; `trial_outcome` is its per-trial
+    reference.  Each slice of at most ``_SLICE`` trials is drawn trial by
+    trial with `sample_ranks` (the same streams and draws as
+    `sample_electorate`) and then evaluated as stacked arrays: the duel
+    tensor, the weak Condorcet winner (a row of ``D > D.T`` with n - 1
+    wins) and the successor table of every trial that has one.  Squaring
+    the flat successor map ceil(log2 n^2) times maps every state past its
+    tail, so the image of the n(n - 1) states is the union of the cycles,
+    and the trial is bad when some image state elects another candidate.
+    """
     spec, start, stop = args
+    n = spec.n_candidates
+    states = np.flatnonzero(np.arange(n * n) % (n + 1))  # w * n + r with w != r
     n_cw = n_bad = 0
-    for i in range(start, stop):
-        has_cw, bad = trial_outcome(spec, i)
-        n_cw += has_cw
-        n_bad += bad
+    for lo in range(start, stop, _SLICE):
+        ranks, weights = zip(*(sample_ranks(spec, i) for i in range(lo, min(lo + _SLICE, stop))))
+        d = duel_tensor(np.stack(ranks), np.stack(weights))
+        top = (d > d.transpose(0, 2, 1)).sum(axis=2) == n - 1
+        has_cw = top.any(axis=1)
+        cw = top[has_cw].argmax(axis=1)
+        w1, w2, _ = _successors_and_scores(d[has_cw])
+        f = (w1 * n + w2).reshape(len(cw), n * n)
+        for _ in range((n * n - 1).bit_length()):
+            f = np.take_along_axis(f, f, axis=1)
+        n_cw += len(cw)
+        n_bad += int((f[:, states] // n != cw[:, None]).any(axis=1).sum())
     return n_cw, n_bad
 
 

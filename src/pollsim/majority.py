@@ -27,6 +27,13 @@ def duel_matrix(electorate: Electorate) -> np.ndarray:
     return np.einsum("t,tij->ij", w, strict)
 
 
+def duel_tensor(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`duel_matrix` of a stack of electorates, from their (B, types,
+    candidates) ranks and (B, types) weights.  Equal bit for bit to the
+    per-electorate matrices, exact ties included; a `matmul` form is not."""
+    return np.einsum("bt,btij->bij", weights, ranks[..., :, None] < ranks[..., None, :])
+
+
 def dominates(electorate: Electorate, alpha: Candidate, beta: Candidate) -> DuelResult:
     if alpha == beta:
         raise ValueError("a candidate cannot be compared with herself")

@@ -138,6 +138,12 @@ def test_graph_determinism(cycle_electorate):
     assert g1.basin == g2.basin
 
 
+def test_graph_equality(cycle_electorate, loser_electorate):
+    # the score array is a function of the electorate and stays out of ==
+    assert build_polling_graph(cycle_electorate) == build_polling_graph(cycle_electorate)
+    assert build_polling_graph(cycle_electorate) != build_polling_graph(loser_electorate)
+
+
 def _random_spec(strategy, n_candidates=5, n_types=8, seed=0):
     return CultureSpec(CultureKind.IMPARTIAL, n_candidates, n_types, strategy, seed=seed)
 
