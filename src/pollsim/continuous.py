@@ -20,78 +20,21 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from .dynamics import PollState, all_states
+from .dynamics import all_states
 from .model import Ballot, Electorate, Outcome, Tally, outcome_from_tally
 from .strategies import ballot_for
 
 SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexPoint:
-    """Distribution over one type's admissible ballots.
+    """Point i of a state: type i's distribution over its admissible
+    ballots, ``shares[j]`` being the share casting
+    ``dynamics.admissible[i][j]``.  States are built by
+    `ContinuousDynamics.state_from_vectors`, which validates them."""
 
-    Entries are clamped to [0, 1]; the sum must be 1 within 1e-12 and is
-    renormalized exactly on construction.
-    """
-
-    ballots: tuple[Ballot, ...]
     shares: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        shares = self.shares
-        if len(self.ballots) != len(shares):
-            raise ValueError("one share per admissible ballot")
-        total = 0.0
-        clean = True
-        for s in shares:
-            if not 0.0 <= s <= 1.0:
-                clean = False
-            total += s
-        if not clean:
-            shares = tuple(min(1.0, max(0.0, s)) for s in shares)
-            total = sum(shares)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"shares sum to {total}, not 1")
-        if total != 1.0:
-            shares = tuple(s / total for s in shares)
-        if shares is not self.shares:
-            object.__setattr__(self, "shares", shares)
-
-    @classmethod
-    def unit(cls, ballots: tuple[Ballot, ...], ballot: Ballot) -> "SimplexPoint":
-        if ballot not in ballots:
-            raise ValueError(f"{set(ballot)} is not an admissible ballot here")
-        return cls(ballots, tuple(1.0 if b == ballot else 0.0 for b in ballots))
-
-    @classmethod
-    def _convex(cls, ballots: tuple[Ballot, ...], shares: tuple[float, ...]) -> "SimplexPoint":
-        # hot-path constructor for shares produced as a convex combination
-        # of valid points: entries are in [0, 1] by construction and the
-        # sum error is contracted toward 0 by every further combination,
-        # so clamping and renormalization are unnecessary
-        self = object.__new__(cls)
-        object.__setattr__(self, "ballots", ballots)
-        object.__setattr__(self, "shares", shares)
-        return self
-
-    def share_of(self, ballot: Ballot) -> float:
-        try:
-            return self.shares[self.ballots.index(ballot)]
-        except ValueError:
-            raise ValueError(f"{set(ballot)} is not an admissible ballot here") from None
-
-    def blend_toward(self, target: "SimplexPoint", p: float) -> "SimplexPoint":
-        """p of the voters move to the unit point ``target``, the rest keep
-        their plan."""
-        if self.shares[target.shares.index(1.0)] == 1.0:
-            return self
-        q = 1.0 - p
-        new = tuple(p * t + q * s for t, s in zip(target.shares, self.shares))
-        return SimplexPoint._convex(self.ballots, new)
-
-    def as_dict(self) -> dict[Ballot, float]:
-        return dict(zip(self.ballots, self.shares))
 
 
 ContinuousState = tuple  # tuple[SimplexPoint, ...] aligned with electorate.types
@@ -132,13 +75,13 @@ def orbit_rows(
 
 @dataclass(frozen=True)
 class ContinuousDynamics:
-    """``targets[i]`` maps an outcome's (winner, runner-up) to the unit
-    point of type i's strategy ballot; ``rate`` gives the fraction of every
-    type that moves to its target at an outcome."""
+    """``targets`` maps an outcome's (winner, runner-up) to the slot of
+    every type's strategy ballot in ``admissible``; ``rate`` gives the
+    fraction of every type that moves to its target at an outcome."""
 
     electorate: Electorate
     admissible: tuple[tuple[Ballot, ...], ...]
-    targets: tuple[dict, ...]
+    targets: dict
     rate: Callable[[Outcome], float]
 
     @cached_property
@@ -153,6 +96,14 @@ class ContinuousDynamics:
                 vecs.append(tuple((cand.index(c), t.weight) for c in sorted(ballot, key=cand.index)))
             out.append(tuple(vecs))
         return tuple(out)
+
+    @cached_property
+    def _units(self):
+        """Per type, per slot: the unit point of that ballot."""
+        return tuple(
+            tuple(SimplexPoint(tuple(float(k == j) for k in range(len(ballots)))) for j in range(len(ballots)))
+            for ballots in self.admissible
+        )
 
     def scores(self, state: ContinuousState) -> Tally:
         cand = self.electorate.candidates
@@ -171,36 +122,87 @@ class ContinuousDynamics:
         return self.outcome(state).winner
 
     def step(self, state: ContinuousState) -> ContinuousState:
+        """Move the fraction p = rate(outcome) of every type to its target
+        slot j: q = 1 - p of each share stays and the target gains p, which
+        is p * unit + q * shares bit for bit.  A type already at its target
+        keeps its point (blending would round 1 to p + q)."""
         out = self.outcome(state)
-        key = (out.winner, out.runner_up)
         p = self.rate(out)
-        if p == 1.0:
-            return tuple(table[key] for table in self.targets)
         if p == 0.0:
             return state
-        return tuple(point.blend_toward(table[key], p) for point, table in zip(state, self.targets))
-
-    def extreme_state(self, assignment: dict) -> ContinuousState:
-        """State where all voters of each type cast the assigned ballot."""
+        slots = self.targets[(out.winner, out.runner_up)]
+        if p == 1.0:
+            return tuple(units[j] for units, j in zip(self._units, slots))
+        q = 1.0 - p
         points = []
-        for t, ballots in zip(self.electorate.types, self.admissible):
-            points.append(SimplexPoint.unit(ballots, frozenset(assignment[t.name])))
+        for point, j in zip(state, slots):
+            if point.shares[j] == 1.0:
+                points.append(point)
+                continue
+            shares = [q * s for s in point.shares]
+            shares[j] += p
+            points.append(SimplexPoint(tuple(shares)))
         return tuple(points)
+
+    def state_from_vectors(self, vectors) -> ContinuousState:
+        """Build a state from one share vector per type, in the order of
+        the type's admissible ballots.  Entries are clamped to [0, 1]; each
+        vector must sum to 1 within 1e-12 and is renormalized exactly."""
+        if len(vectors) != len(self.admissible):
+            raise ValueError("one share vector per voter type")
+        points = []
+        for t, ballots, shares in zip(self.electorate.types, self.admissible, vectors):
+            if len(shares) != len(ballots):
+                raise ValueError(f"type {t.name!r}: one share per admissible ballot")
+            total = 0.0
+            clean = True
+            for s in shares:
+                if not 0.0 <= s <= 1.0:
+                    clean = False
+                total += s
+            if not clean:
+                shares = tuple(min(1.0, max(0.0, s)) for s in shares)
+                total = sum(shares)
+            if abs(total - 1.0) > SUM_TOL:
+                raise ValueError(f"type {t.name!r}: shares sum to {total}, not 1")
+            if total != 1.0:
+                shares = tuple(s / total for s in shares)
+            points.append(SimplexPoint(tuple(shares)))
+        return tuple(points)
+
+    def slot(self, name: str, ballot) -> tuple[int, int]:
+        """(type index, slot index) of an admissible ballot of the named
+        type."""
+        for i, t in enumerate(self.electorate.types):
+            if t.name == name:
+                ballots = self.admissible[i]
+                ballot = frozenset(ballot)
+                if ballot not in ballots:
+                    raise ValueError(f"{sorted(ballot)} is not an admissible ballot of type {name!r}")
+                return i, ballots.index(ballot)
+        raise ValueError(f"unknown voter type {name!r}")
 
     def state_from_shares(self, shares: dict) -> ContinuousState:
         """Build a state from {type name: {ballot: share}}; omitted
         admissible ballots get share zero, and a type omitted entirely
-        must have a single admissible ballot (which gets everything)."""
-        points = []
-        for t, ballots in zip(self.electorate.types, self.admissible):
+        must have a single admissible ballot (which gets everything).  An
+        unknown type or a ballot the type never casts raises ValueError."""
+        vectors = [[0.0] * len(ballots) for ballots in self.admissible]
+        for name, given in shares.items():
+            for ballot, share in given.items():
+                i, j = self.slot(name, ballot)
+                vectors[i][j] = share
+        for t, ballots, vector in zip(self.electorate.types, self.admissible, vectors):
             if t.name not in shares:
                 if len(ballots) != 1:
                     raise ValueError(f"type {t.name!r} has several admissible ballots; shares required")
-                points.append(SimplexPoint.unit(ballots, ballots[0]))
-                continue
-            given = {frozenset(b): s for b, s in shares[t.name].items()}
-            points.append(SimplexPoint(ballots, tuple(given.get(b, 0.0) for b in ballots)))
-        return tuple(points)
+                vector[0] = 1.0
+        return self.state_from_vectors(vectors)
+
+    def extreme_state(self, assignment: dict) -> ContinuousState:
+        """State where all voters of each type cast the assigned ballot;
+        types are omitted and validated as in `state_from_shares`."""
+        return self.state_from_shares({name: {ballot: 1.0} for name, ballot in assignment.items()})
 
 
 def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
@@ -215,17 +217,16 @@ def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
 def _dynamics(electorate: Electorate, rate: Callable[[Outcome], float]) -> ContinuousDynamics:
     """Dynamics with the given rate and the strategies' targets.  Simple
     strategies make (winner, runner-up) -> ballot a complete lookup table;
-    a type's admissible ballots are its image in first occurrence order,
-    and outcomes with the same ballot share one unit point."""
+    a type's admissible ballots are its image in first occurrence order."""
     states = all_states(electorate)
-    admissible, targets = [], []
+    admissible, columns = [], []
     for t in electorate.types:
-        table = {(s.winner, s.runner_up): ballot_for(t.strategy, t.preference, s) for s in states}
-        ballots = tuple(dict.fromkeys(table.values()))
-        units = {b: SimplexPoint.unit(ballots, b) for b in ballots}
+        cast = [ballot_for(t.strategy, t.preference, s) for s in states]
+        ballots = tuple(dict.fromkeys(cast))
         admissible.append(ballots)
-        targets.append({key: units[b] for key, b in table.items()})
-    return ContinuousDynamics(electorate, tuple(admissible), tuple(targets), rate)
+        columns.append([ballots.index(b) for b in cast])
+    targets = dict(zip(((s.winner, s.runner_up) for s in states), zip(*columns)))
+    return ContinuousDynamics(electorate, tuple(admissible), targets, rate)
 
 
 def embed_discrete(electorate: Electorate) -> ContinuousDynamics:
@@ -272,63 +273,33 @@ def perturbed_dynamics(
 @dataclass(frozen=True)
 class TwoShareView:
     """Coordinates (x, z) for electorates where exactly two types are
-    undecided between two admissible ballots each; x and z track the
-    share of the named types on the given ballots."""
+    undecided between two admissible ballots each: x and z are the shares
+    at the (type index, slot index) pairs ``x`` and ``z``, and every other
+    type has a single admissible ballot."""
 
     dynamics: ContinuousDynamics
-    type_x: str
-    ballot_x: Ballot
-    type_z: str
-    ballot_z: Ballot
+    x: tuple[int, int]
+    z: tuple[int, int]
 
-    def _index(self, name: str) -> int:
-        for i, t in enumerate(self.dynamics.electorate.types):
-            if t.name == name:
-                return i
-        raise ValueError(f"unknown voter type {name!r}")
-
-    @cached_property
-    def _layout(self):
-        """Per type: ("x"|"z", ballots) for the tracked types, or the
-        constant unit point for single-ballot types."""
-        rows = []
-        for t, ballots in zip(self.dynamics.electorate.types, self.dynamics.admissible):
-            if t.name == self.type_x:
-                tracked = frozenset(self.ballot_x)
-                coord = "x"
-            elif t.name == self.type_z:
-                tracked = frozenset(self.ballot_z)
-                coord = "z"
-            else:
-                if len(ballots) != 1:
-                    raise ValueError(f"type {t.name!r} is not pinned to a single ballot")
-                rows.append(SimplexPoint.unit(ballots, ballots[0]))
-                continue
-            if len(ballots) != 2 or tracked not in ballots:
-                raise ValueError(f"type {t.name!r} must have exactly the tracked and one other ballot")
-            rows.append((coord, ballots, tuple(b == tracked for b in ballots)))
-        return tuple(rows)
+    def __post_init__(self) -> None:
+        tracked = {self.x[0]: self.x[1], self.z[0]: self.z[1]}
+        if len(tracked) != 2 or not all(0 <= i < len(self.dynamics.admissible) for i in tracked):
+            raise ValueError("x and z must track two different types of the electorate")
+        for i, (t, ballots) in enumerate(zip(self.dynamics.electorate.types, self.dynamics.admissible)):
+            if i in tracked:
+                if len(ballots) != 2 or tracked[i] not in (0, 1):
+                    raise ValueError(f"type {t.name!r} must have exactly the tracked and one other ballot")
+            elif len(ballots) != 1:
+                raise ValueError(f"type {t.name!r} is not pinned to a single ballot")
 
     def state(self, x: float, z: float) -> ContinuousState:
-        points = []
-        for row in self._layout:
-            if isinstance(row, SimplexPoint):
-                points.append(row)
-                continue
-            coord, ballots, mask = row
-            val = x if coord == "x" else z
-            points.append(SimplexPoint(ballots, tuple(val if m else 1.0 - val for m in mask)))
-        return tuple(points)
-
-    @cached_property
-    def _coord_slots(self):
-        ix, iz = self._index(self.type_x), self._index(self.type_z)
-        jx = self.dynamics.admissible[ix].index(frozenset(self.ballot_x))
-        jz = self.dynamics.admissible[iz].index(frozenset(self.ballot_z))
-        return ix, jx, iz, jz
+        vectors = [(1.0,)] * len(self.dynamics.admissible)
+        for (i, j), v in ((self.x, x), (self.z, z)):
+            vectors[i] = (v, 1.0 - v) if j == 0 else (1.0 - v, v)
+        return self.dynamics.state_from_vectors(vectors)
 
     def coords(self, state: ContinuousState) -> tuple[float, float]:
-        ix, jx, iz, jz = self._coord_slots
+        (ix, jx), (iz, jz) = self.x, self.z
         return (state[ix].shares[jx], state[iz].shares[jz])
 
 

@@ -112,22 +112,29 @@ def _count_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int]:
     return n_cw, n_bad
 
 
+def _timed_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int, float]:
+    """`_count_range` and the seconds it took in the worker."""
+    t0 = time.perf_counter()
+    n_cw, n_bad = _count_range(args)
+    return n_cw, n_bad, time.perf_counter() - t0
+
+
 def run_table(specs: list[CultureSpec], n_trials: int, n_jobs: int = 1) -> list[ConditionResult]:
-    """One result per condition.  With ``n_jobs > 1`` the trials run in
-    chunks on one worker pool shared by all conditions."""
+    """One result per condition.  With ``n_jobs > 1`` the trials of all
+    conditions run in chunks through one map on one worker pool; a
+    condition's runtime is the sum of its chunks' worker seconds."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
     chunk = n_trials if n_jobs <= 1 else max(64, n_trials // (4 * n_jobs))
-    results = []
+    starts = range(0, n_trials, chunk)
+    tasks = [(spec, lo, min(lo + chunk, n_trials)) for spec in specs for lo in starts]
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        for spec in specs:
-            t0 = time.perf_counter()
-            tasks = [(spec, lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-            counts = list(mapper(_count_range, tasks))
-            n_cw = sum(c for c, _ in counts)
-            n_bad = sum(b for _, b in counts)
-            results.append(ConditionResult(spec, n_trials, n_cw, n_bad, time.perf_counter() - t0))
+        counts = list((map if pool is None else pool.map)(_timed_range, tasks))
+    results = []
+    for k, spec in enumerate(specs):
+        rows = counts[k * len(starts):(k + 1) * len(starts)]
+        n_cw, n_bad, seconds = map(sum, zip(*rows))
+        results.append(ConditionResult(spec, n_trials, n_cw, n_bad, seconds))
     return results
 
 

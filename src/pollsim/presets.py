@@ -91,7 +91,7 @@ def two_bloc_dynamics(p: float = 0.85, margin: float = 0.04, fallback: Fallback 
 
 def two_bloc_view(dynamics: ContinuousDynamics) -> TwoShareView:
     """(x, z) coordinates: shares of X and Z casting the ballot {a, b}."""
-    return TwoShareView(dynamics, "X", frozenset("ab"), "Z", frozenset("ab"))
+    return TwoShareView(dynamics, dynamics.slot("X", "ab"), dynamics.slot("Z", "ab"))
 
 
 # Margin-certified regions of the unit square for the two-bloc example:

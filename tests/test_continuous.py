@@ -7,7 +7,7 @@ import pytest
 from pollsim import (
     Fallback,
     PollState,
-    SimplexPoint,
+    TwoShareView,
     build_polling_graph,
     embed_discrete,
     find_periodic_orbit,
@@ -45,16 +45,45 @@ def closed_form_step(x, z, p=P):
 
 
 def test_simplex_point_validation():
-    b = (frozenset("a"), frozenset("ab"))
-    p = SimplexPoint(b, (0.25, 0.75))
-    assert p.share_of(frozenset("ab")) == 0.75
+    dyn = two_bloc_dynamics()
+    s = dyn.state_from_shares({"Z": {"a": 0.25, "ab": 0.75}, "X": {"b": 1.0}})
+    i, j = dyn.slot("Z", "ab")
+    assert s[i].shares[j] == 0.75
     with pytest.raises(ValueError):
-        SimplexPoint(b, (0.5, 0.6))
+        dyn.state_from_vectors([(0.5, 0.6), (1.0,), (0.0, 1.0), (1.0,)])
     # tiny drift is renormalized, clamping handles -0.0-style noise
-    q = SimplexPoint(b, (0.5, 0.5 + 1e-13))
-    assert sum(q.shares) == 1.0
+    q = dyn.state_from_vectors([(0.5, 0.5 + 1e-13), (1.0,), (-0.0, 1.0), (1.0,)])
+    assert sum(q[0].shares) == 1.0
     with pytest.raises(ValueError):
-        SimplexPoint.unit(b, frozenset("c"))
+        dyn.extreme_state({"Z": "c", "Y": "a", "X": "b", "W": "c"})
+
+
+def test_state_builders_reject_unknown_types_and_ballots():
+    dyn = two_bloc_dynamics()
+    with pytest.raises(ValueError, match="'Q'"):
+        dyn.state_from_shares({"X": {"b": 1.0}, "Z": {"a": 1.0}, "Q": {"a": 1.0}})
+    with pytest.raises(ValueError, match="'Z'"):
+        dyn.state_from_shares({"X": {"b": 1.0}, "Z": {"ab": 1.0, "c": 0.3}})
+    with pytest.raises(ValueError, match="'Q'"):
+        dyn.extreme_state({"Z": "a", "Y": "a", "X": "b", "W": "c", "Q": "a"})
+    with pytest.raises(ValueError):
+        dyn.state_from_vectors([(0.5, 0.5), (1.0,), (1.0,)])
+    with pytest.raises(ValueError):
+        dyn.state_from_vectors([(0.5, 0.5), (1.0,), (1.0,), (1.0,)])
+
+
+def test_two_share_view_checks_its_layout():
+    dyn = two_bloc_dynamics()
+    x, z = dyn.slot("X", "ab"), dyn.slot("Z", "ab")
+    assert TwoShareView(dyn, x, z).coords(TwoShareView(dyn, x, z).state(0.25, 0.5)) == (0.25, 0.5)
+    with pytest.raises(ValueError):
+        TwoShareView(dyn, x, x)
+    with pytest.raises(ValueError):
+        TwoShareView(dyn, x, (7, 0))
+    with pytest.raises(ValueError):
+        TwoShareView(dyn, x, (1, 0))  # Y has a single ballot
+    with pytest.raises(ValueError):
+        TwoShareView(embed_discrete(lr_cycle_electorate()), (0, 0), (1, 0))
 
 
 def test_aggregate_closed_form_two_bloc():
@@ -286,8 +315,12 @@ def test_rate_one_returns_the_shared_target_points():
     dyn = embed_discrete(lr_cycle_electorate())
     s = dyn.extreme_state({t.name: ballots[0] for t, ballots in zip(dyn.electorate.types, dyn.admissible)})
     out = dyn.outcome(s)
-    key = (out.winner, out.runner_up)
-    assert all(point is table[key] for point, table in zip(dyn.step(s), dyn.targets))
+    slots = dyn.targets[(out.winner, out.runner_up)]
+    target = dyn.step(s)
+    assert target == dyn.extreme_state({
+        t.name: ballots[j] for t, ballots, j in zip(dyn.electorate.types, dyn.admissible, slots)
+    })
+    assert all(a is b for a, b in zip(target, dyn.step(s)))
 
 
 def test_rate_zero_returns_the_state():
