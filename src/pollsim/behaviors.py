@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .cultures import splitmix64
 
 
@@ -108,10 +110,17 @@ class ReluctanceConfig:
 
 class PlanarReluctanceMap:
     """The (x, z) -> (x', z') map induced by opportunity-driven
-    collaboration of types X and Z; maps the unit square into itself."""
+    collaboration of types X and Z; maps the unit square into itself.
+
+    The methods `winner` and `step` below, built on `scores` and `safety`,
+    are the readable reference.  ``__init__`` shadows them on the instance
+    with closures specialized to the configuration, which do the same
+    float operations in the same order, and adds ``advance(state) ->
+    (winner, next state)``."""
 
     def __init__(self, config: ReluctanceConfig):
         self.config = config
+        self.winner, self.step, self.advance = _resolved_map(config)
 
     def scores(self, state: tuple[float, float]) -> tuple[float, float, float]:
         x, z = state
@@ -137,6 +146,57 @@ class PlanarReluctanceMap:
         z_new = min(1.0, max(0.0, c.collaboration(s_z)))
         x_new = min(1.0, max(0.0, c.collaboration(s_x)))
         return (x_new, z_new)
+
+
+def _resolved_map(c: ReluctanceConfig):
+    """(winner, step, advance) closures for one configuration: the
+    reference's scores, safety and clamped collaboration with every
+    configuration branch resolved here, once."""
+    n_z, n_x, vc = c.n_z, c.n_x, c.n_w
+    a0 = c.n_z + c.n_y  # va = (n_z + n_y) + n_x * x, as `scores` adds
+    literal = c.b_score_rule is BScoreRule.LITERAL
+    normalized = c.safety_fn.normalization is Normalization.TOTAL_WEIGHT
+    total = c.total_weight
+    wc = vc / total if normalized else vc
+    two_case = c.safety_fn.kind is SafetyKind.TWO_CASE
+    collab = c.collaboration
+    linear = type(collab) is LinearClamped
+    rational = type(collab) is RationalDecay
+    k = collab.kappa if linear else collab.lam if rational else None
+
+    def advance(state):
+        x, z = state
+        va = a0 + n_x * x
+        vb = n_z * z + (x if literal else n_x)
+        if va >= vb:  # ties go to the lower index, as in `winner`
+            w = "a" if va >= vc else "c"
+        else:
+            w = "b" if vb >= vc else "c"
+        if normalized:
+            va, vb = va / total, vb / total
+        d_b, d_a = abs(vb - wc), abs(va - wc)
+        if two_case:
+            s_z = d_b if vb > va else 0.5 * d_b + 0.5 * d_a
+            s_x = d_a if va > vb else 0.5 * d_a + 0.5 * d_b
+        else:
+            s_z, s_x = d_b, d_a
+        if linear:
+            cx, cz = 1.0 - k * s_x, 1.0 - k * s_z
+        elif rational:
+            cx, cz = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
+        else:
+            cx, cz = collab(s_x), collab(s_z)
+        # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
+        return w, (cx if 0.0 < cx < 1.0 else 1.0 if cx >= 1.0 else 0.0,
+                   cz if 0.0 < cz < 1.0 else 1.0 if cz >= 1.0 else 0.0)
+
+    def winner(state):
+        return advance(state)[0]
+
+    def step(state):
+        return advance(state)[1]
+
+    return winner, step, advance
 
 
 def build_planar_map(config: ReluctanceConfig | None = None) -> PlanarReluctanceMap:
@@ -183,6 +243,9 @@ class TentModel:
             return Fraction(two, den) if two <= den else Fraction(2 * den - two, den)
         return 2.0 * z if z <= 0.5 else 2.0 - 2.0 * z
 
+    def advance(self, z):
+        return self.winner(z), self.step(z)
+
     def collaboration_step(self, z: float) -> float:
         """Same update computed through the safety/collaboration pipeline
         rather than the closed form."""
@@ -203,16 +266,40 @@ class TentModel:
 
     def winners_word_exact(self, start: Fraction, n: int) -> str:
         """n letters of the winners word along the exact orbit of
-        ``start``; integer arithmetic on a fixed denominator."""
+        ``start``: read off its binary expansion when the denominator is
+        odd and start < 1, iterated in integers on the fixed denominator
+        otherwise."""
         num, den = start.numerator, start.denominator
         if not 0 <= num <= den:
             raise ValueError("start must lie in [0, 1]")
-        letters = bytearray(n)
-        for k in range(n):
-            two = num << 1
-            letters[k] = 98 if two >= den else 99  # 'b' / 'c'
-            num = two if two <= den else (den << 1) - two
-        return letters.decode("ascii")
+        if den % 2 and num < den:
+            return _tent_word_from_bits(num, den, n)
+        return _tent_word_by_steps(num, den, n)
+
+
+def _tent_word_by_steps(num: int, den: int, n: int) -> str:
+    """The tent word of num/den letter by letter: the reference, and the
+    path for starts the binary expansion does not cover."""
+    letters = bytearray(n)
+    for k in range(n):
+        two = num << 1
+        letters[k] = 98 if two >= den else 99  # 'b' / 'c'
+        num = two if two <= den else (den << 1) - two
+    return letters.decode("ascii")
+
+
+def _tent_word_from_bits(num: int, den: int, n: int) -> str:
+    """The tent word of num/den for odd ``den`` and 0 <= num < den, read
+    off the binary expansion 0.b1 b2 b3 ... of the start.  The tent map T
+    satisfies T^k = T o D^(k-1) with the doubling map D(x) = 2x mod 1, and
+    an odd denominator keeps every D-iterate off 1/2, so letter 0 is 'b'
+    exactly when b1 = 1 and letter k >= 1 exactly when b_k != b_(k+1):
+    the letters are the bits of the Gray code g ^ (g >> 1) of the
+    expansion's integer g."""
+    size = (n + 7) // 8
+    g = (num << 8 * size) // den
+    letters = np.unpackbits(np.frombuffer((g ^ (g >> 1)).to_bytes(size, "big"), dtype=np.uint8))[:n]
+    return str(np.subtract(99, letters, out=letters).data, "ascii")  # 1 -> 'b', 0 -> 'c'
 
 
 def build_tent_model() -> TentModel:

@@ -41,11 +41,15 @@ ContinuousState = tuple  # tuple[SimplexPoint, ...] aligned with electorate.type
 
 
 class SymbolicSource(Protocol):
-    """Anything that can be iterated and asked who wins at a state."""
+    """Anything that can be iterated and asked who wins at a state.
+    ``advance(state)`` equals ``(winner(state), step(state))`` and
+    evaluates the state's scores once."""
 
     def step(self, state): ...
 
     def winner(self, state) -> str: ...
+
+    def advance(self, state) -> tuple[str, object]: ...
 
 
 def orbit_rows(
@@ -57,20 +61,24 @@ def orbit_rows(
 ) -> Iterator[tuple[int, object, str]]:
     """Yield (step, state, winner) for every ``keep_every``-th state of the
     orbit of ``start`` after a transient of ``discard`` steps, up to step
-    ``discard + n_steps``.  No step is taken past the last state yielded."""
+    ``discard + n_steps``.  A kept state's winner comes with its step from
+    one ``advance`` call; no step is taken past the last state yielded."""
     if n_steps < 0 or discard < 0:
         raise ValueError("n_steps and discard must be non-negative")
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
-    step, winner = source.step, source.winner
+    step, advance = source.step, source.advance
     last = discard + n_steps - n_steps % keep_every
-    s, kept = start, discard
-    for k in range(last + 1):
-        if k == kept:
-            yield k, s, winner(s)
-            kept += keep_every
-        if k < last:
+    s = start
+    for _ in range(discard):
+        s = step(s)
+    for k in range(discard, last, keep_every):
+        w, nxt = advance(s)
+        yield k, s, w
+        s = nxt
+        for _ in range(keep_every - 1):
             s = step(s)
+    yield last, s, source.winner(s)
 
 
 @dataclass(frozen=True)
@@ -122,15 +130,21 @@ class ContinuousDynamics:
         return self.outcome(state).winner
 
     def step(self, state: ContinuousState) -> ContinuousState:
+        return self._move(state, self.outcome(state))
+
+    def advance(self, state: ContinuousState) -> tuple[str, ContinuousState]:
+        out = self.outcome(state)
+        return out.ranking[0], self._move(state, out)
+
+    def _move(self, state: ContinuousState, out: Outcome) -> ContinuousState:
         """Move the fraction p = rate(outcome) of every type to its target
         slot j: q = 1 - p of each share stays and the target gains p, which
         is p * unit + q * shares bit for bit.  A type already at its target
         keeps its point (blending would round 1 to p + q)."""
-        out = self.outcome(state)
         p = self.rate(out)
         if p == 0.0:
             return state
-        slots = self.targets[(out.winner, out.runner_up)]
+        slots = self.targets[out.ranking[:2]]  # (winner, runner-up)
         if p == 1.0:
             return tuple(units[j] for units, j in zip(self._units, slots))
         q = 1.0 - p

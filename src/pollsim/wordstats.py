@@ -77,12 +77,20 @@ class Census:
         return {w: c / self.windows for w, c in self.counts.items()}
 
 
+def _prefix(word, n: int | None) -> tuple[str, int]:
+    """The first ``n`` letters of a word (all of them when ``n`` is None)."""
+    text = _letters(word)
+    if n is None:
+        return text, len(text)
+    if not 1 <= n <= len(text):
+        raise ValueError(f"n = {n} is not in 1..{len(text)}, the word's length")
+    return text[:n], n
+
+
 def subword_census(word, block: int, n: int | None = None) -> Census:
     """Occurrence counts of every length-``block`` factor of the first
     ``n`` letters."""
-    text = _letters(word)
-    n = len(text) if n is None else n
-    text = text[:n]
+    text, n = _prefix(word, n)
     for codes in _window_codes(text, n, block, "block"):
         pass  # keep the codes of the length-``block`` windows
     values, first, counts = np.unique(codes, return_index=True, return_counts=True)
@@ -127,10 +135,9 @@ class EntropyProfile:
 
 
 def ks_profile(word, n: int | None = None, max_block: int = 16) -> EntropyProfile:
-    text = _letters(word)
-    n = len(text) if n is None else n
+    text, n = _prefix(word, n)
     entropy, distinct = [], []
-    for codes in _window_codes(text[:n], n, max_block, "max_block"):
+    for codes in _window_codes(text, n, max_block, "max_block"):
         values, counts = np.unique(codes, return_counts=True)
         entropy.append(_entropy_from_counts(counts))
         distinct.append(len(values))
@@ -193,11 +200,9 @@ def _z_array(text: str) -> list[int]:
     return z
 
 
-def detect_eventual_period(word) -> tuple[int, int] | None:
-    """Smallest period p (then smallest preperiod q) such that the word
-    repeats with period p from position q on, requiring both p and q to
-    fit in the first third of the word; None when nothing qualifies."""
-    text = _letters(word)
+def _period_by_z_array(text: str) -> tuple[int, int] | None:
+    """`detect_eventual_period` from the Z-array of the reversed word: the
+    reference, and the path for words the filtered search gives up on."""
     n = len(text)
     if n < 3:
         return None
@@ -211,3 +216,43 @@ def detect_eventual_period(word) -> tuple[int, int] | None:
         if pre <= limit:
             return max(0, pre), p
     return None
+
+
+_PROBES = 64  # letter positions each candidate period is tested at first
+_BUDGET = 8  # letters compared in full checks, per letter of the word
+
+
+def _period_by_filter(data: bytes) -> tuple[int, int] | None | bool:
+    """`detect_eventual_period` of an ASCII word, or False when the full
+    checks would compare more than _BUDGET * n letters (as on a^n b).
+    With limit = n // 3, the suffix from ``limit`` is p-periodic exactly
+    when data[limit:n-p] == data[limit+p:n]; candidates p = 1..limit are
+    first filtered at up to _PROBES positions i in [limit, n - limit)."""
+    n = len(data)
+    limit = n // 3
+    arr = np.frombuffer(data, dtype=np.uint8)
+    alive = np.ones(limit, dtype=bool)  # alive[p - 1]: p is still a candidate
+    for i in range(limit, n - limit, -(-(n - 2 * limit) // _PROBES)):
+        alive &= arr[i + 1:i + limit + 1] == arr[i]
+    view, budget = memoryview(data), _BUDGET * n
+    for p in (np.flatnonzero(alive) + 1).tolist():
+        budget -= n - p - limit
+        if budget < 0:
+            return False
+        if view[limit:n - p] == view[limit + p:]:
+            # the preperiod follows the last mismatch before ``limit``
+            miss = arr[:limit] != arr[p:limit + p]
+            return (limit - int(miss[::-1].argmax()) if miss.any() else 0), p
+    return None
+
+
+def detect_eventual_period(word) -> tuple[int, int] | None:
+    """Smallest period p (then smallest preperiod q) such that the word
+    repeats with period p from position q on, requiring both p and q to
+    fit in the first third of the word; None when nothing qualifies."""
+    text = _letters(word)
+    if len(text) >= 3 and text.isascii():
+        found = _period_by_filter(text.encode("ascii"))
+        if found is not False:
+            return found
+    return _period_by_z_array(text)

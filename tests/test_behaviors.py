@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pollsim import (
     BScoreRule,
@@ -18,6 +20,8 @@ from pollsim import (
     build_tent_model,
     safety,
 )
+
+from pollsim.behaviors import _tent_word_by_steps
 
 RAW2 = SafetyFunction(SafetyKind.TWO_CASE, Normalization.RAW)
 
@@ -160,3 +164,23 @@ def test_tent_exact_word_letter_balance():
     word = tent.winners_word_exact(tent.default_start(seed=0), 100_000)
     freq = word.count("b") / len(word)
     assert abs(freq - 0.5) < 0.01
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.fractions(0, 1, max_denominator=10**40), st.integers(0, 2000))
+@example(Fraction(0), 50)
+@example(Fraction(1), 50)
+@example(Fraction(1, 2), 50)
+@example(Fraction(3, 4), 50)
+@example(Fraction(1, 3), 0)
+def test_tent_word_equals_letter_loop(start, n):
+    want = _tent_word_by_steps(start.numerator, start.denominator, n)
+    assert build_tent_model().winners_word_exact(start, n) == want
+
+
+def test_tent_word_from_default_starts():
+    tent = build_tent_model()
+    for seed in range(5):
+        start = tent.default_start(seed)
+        want = _tent_word_by_steps(start.numerator, start.denominator, 20_000)
+        assert tent.winners_word_exact(start, 20_000) == want

@@ -1,14 +1,24 @@
 """Properties of the orbit generator over the planar, tent and two-bloc
 sources: winners words agree with collected orbits, thinned rows are
-slices of the full orbit, no step is taken past the last row, and
-two-bloc states stay on the simplex."""
+slices of the full orbit, no step is taken past the last row, a source's
+``advance`` is its winner and its step, and two-bloc states stay on the
+simplex."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pollsim import Fallback, build_planar_map, build_tent_model, iterate_orbit, orbit_rows, winners_word
+from pollsim import (
+    ContinuousDynamics,
+    Fallback,
+    build_planar_map,
+    build_tent_model,
+    iterate_orbit,
+    orbit_rows,
+    winners_word,
+)
+from pollsim.cli import main
 from pollsim.presets import two_bloc_dynamics, two_bloc_view
 
 PLANAR = build_planar_map()
@@ -31,7 +41,8 @@ def source_and_start(draw):
 
 
 class Counting:
-    """A source that counts the steps taken through it."""
+    """A source that counts the steps taken through it; an ``advance``
+    is one step."""
 
     def __init__(self, source):
         self.source, self.steps = source, 0
@@ -42,6 +53,10 @@ class Counting:
 
     def winner(self, state):
         return self.source.winner(state)
+
+    def advance(self, state):
+        self.steps += 1
+        return self.source.advance(state)
 
 
 @settings(deadline=None)
@@ -60,6 +75,30 @@ def test_thinned_rows_are_slices_of_the_full_orbit(case, n, keep_every, discard)
     rows = list(orbit_rows(counting, start, n, keep_every, discard))
     assert rows == full[discard::keep_every]
     assert counting.steps == rows[-1][0]
+
+
+@settings(deadline=None)
+@given(source_and_start(), st.integers(0, 20))
+def test_advance_is_the_winner_and_the_step(case, n):
+    source, state = case
+    for _ in range(n):
+        w, nxt = source.advance(state)
+        assert (w, nxt) == (source.winner(state), source.step(state))
+        state = nxt
+
+
+def test_grid_evaluates_one_outcome_per_row(monkeypatch, tmp_path):
+    # 30 x 30 starts with 9 rows each: 8,100 rows and as many outcomes
+    calls = []
+    outcome = ContinuousDynamics.outcome
+
+    def counted(self, state):
+        calls.append(1)
+        return outcome(self, state)
+
+    monkeypatch.setattr(ContinuousDynamics, "outcome", counted)
+    assert main(["grid", "--model", "twobloc", "--res", "30", "--iters", "8", "--out", str(tmp_path / "g.csv")]) == 0
+    assert len(calls) == 8100
 
 
 @settings(deadline=None)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pollsim import wordstats
 from pollsim import (
     build_planar_map,
     build_tent_model,
@@ -54,6 +57,16 @@ def test_subword_census_basics():
         subword_census("abc", 5)
     with pytest.raises(ValueError):
         subword_census("abc", 0)
+
+
+@pytest.mark.parametrize("n", [0, 5, 10])
+def test_prefix_length_must_fit_the_word(n):
+    with pytest.raises(ValueError, match="word's length"):
+        subword_census("abab", 2, n=n)
+    with pytest.raises(ValueError, match="word's length"):
+        ks_profile("abab", n=n, max_block=2)
+    assert subword_census("abab", 2, n=4).windows == 3
+    assert ks_profile("abab", n=4, max_block=2).n == 4
 
 
 def test_subword_census_proportions():
@@ -135,6 +148,37 @@ def test_detect_eventual_period():
     assert detect_eventual_period(PERIODIC_BLOCK * 40) == (0, 22)
     assert detect_eventual_period(coin_word(2**16)) is None
     assert detect_eventual_period("ab") is None
+
+
+@st.composite
+def eventually_periodic(draw):
+    pre = draw(st.text("abc", max_size=40))
+    block = draw(st.text("abc", min_size=1, max_size=15))
+    word = pre + block * draw(st.integers(1, 60))
+    return word[:len(word) - draw(st.integers(0, len(block) - 1))]  # may end mid-block
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(eventually_periodic(), st.text("abc", max_size=100), st.text("ab", max_size=3)))
+@example("aab" * 7 + "b")
+@example("é" + "ab" * 10)  # not ASCII: the Z-array path
+def test_period_search_equals_z_array_reference(word):
+    assert detect_eventual_period(word) == wordstats._period_by_z_array(word)
+
+
+def test_period_search_falls_back_on_a_n_b():
+    # every candidate survives the probes and fails only at the last
+    # letter, so the full checks run out of budget
+    word = "a" * 5000 + "b"
+    assert wordstats._period_by_filter(word.encode("ascii")) is False
+    assert detect_eventual_period(word) is None
+    assert wordstats._period_by_z_array(word) is None
+
+
+def test_period_search_on_long_words():
+    word = coin_word(3000, seed=4)
+    for w in (word, word + PERIODIC_BLOCK * 400, "ab" * 3000, word[:1000] + "abc" * 3000):
+        assert detect_eventual_period(w) == wordstats._period_by_z_array(w)
 
 
 def test_detect_eventual_period_reports_minimal_pair():
