@@ -112,15 +112,27 @@ class PlanarReluctanceMap:
     """The (x, z) -> (x', z') map induced by opportunity-driven
     collaboration of types X and Z; maps the unit square into itself.
 
-    The methods `winner` and `step` below, built on `scores` and `safety`,
-    are the readable reference.  ``__init__`` shadows them on the instance
-    with closures specialized to the configuration, which do the same
-    float operations in the same order, and adds ``advance(state) ->
-    (winner, next state)``."""
+    `winner`, `step` and `advance(state) -> (winner, next state)` run one
+    closure that `_resolved_map` specializes to the configuration at
+    construction.  `reference_winner` and `reference_step`, built on
+    `scores` and `safety`, are the readable reference; the closure does
+    the same float operations in the same order."""
 
     def __init__(self, config: ReluctanceConfig):
         self.config = config
-        self.winner, self.step, self.advance = _resolved_map(config)
+        self._advance = _resolved_map(config)
+
+    def __reduce__(self):  # the closure does not pickle; the configuration does
+        return PlanarReluctanceMap, (self.config,)
+
+    def winner(self, state: tuple[float, float]) -> str:
+        return self._advance(state)[0]
+
+    def step(self, state: tuple[float, float]) -> tuple[float, float]:
+        return self._advance(state)[1]
+
+    def advance(self, state: tuple[float, float]) -> tuple[str, tuple[float, float]]:
+        return self._advance(state)
 
     def scores(self, state: tuple[float, float]) -> tuple[float, float, float]:
         x, z = state
@@ -132,12 +144,12 @@ class PlanarReluctanceMap:
             vb = c.n_z * z + c.n_x
         return va, vb, c.n_w
 
-    def winner(self, state: tuple[float, float]) -> str:
+    def reference_winner(self, state: tuple[float, float]) -> str:
         va, vb, vc = self.scores(state)
         best = max(enumerate((va, vb, vc)), key=lambda p: (p[1], -p[0]))[0]
         return "abc"[best]
 
-    def step(self, state: tuple[float, float]) -> tuple[float, float]:
+    def reference_step(self, state: tuple[float, float]) -> tuple[float, float]:
         c = self.config
         va, vb, vc = self.scores(state)
         total = c.total_weight
@@ -149,9 +161,9 @@ class PlanarReluctanceMap:
 
 
 def _resolved_map(c: ReluctanceConfig):
-    """(winner, step, advance) closures for one configuration: the
-    reference's scores, safety and clamped collaboration with every
-    configuration branch resolved here, once."""
+    """The map's ``advance`` for one configuration: the reference's
+    scores, safety and clamped collaboration with every configuration
+    branch resolved here, once."""
     n_z, n_x, vc = c.n_z, c.n_x, c.n_w
     a0 = c.n_z + c.n_y  # va = (n_z + n_y) + n_x * x, as `scores` adds
     literal = c.b_score_rule is BScoreRule.LITERAL
@@ -168,7 +180,7 @@ def _resolved_map(c: ReluctanceConfig):
         x, z = state
         va = a0 + n_x * x
         vb = n_z * z + (x if literal else n_x)
-        if va >= vb:  # ties go to the lower index, as in `winner`
+        if va >= vb:  # ties go to the lower index, as in `reference_winner`
             w = "a" if va >= vc else "c"
         else:
             w = "b" if vb >= vc else "c"
@@ -190,13 +202,7 @@ def _resolved_map(c: ReluctanceConfig):
         return w, (cx if 0.0 < cx < 1.0 else 1.0 if cx >= 1.0 else 0.0,
                    cz if 0.0 < cz < 1.0 else 1.0 if cz >= 1.0 else 0.0)
 
-    def winner(state):
-        return advance(state)[0]
-
-    def step(state):
-        return advance(state)[1]
-
-    return winner, step, advance
+    return advance
 
 
 def build_planar_map(config: ReluctanceConfig | None = None) -> PlanarReluctanceMap:
@@ -244,7 +250,14 @@ class TentModel:
         return 2.0 * z if z <= 0.5 else 2.0 - 2.0 * z
 
     def advance(self, z):
-        return self.winner(z), self.step(z)
+        """``(winner(z), step(z))`` from one doubling of z."""
+        if isinstance(z, Fraction):
+            num, den = z.numerator, z.denominator
+            two = 2 * num
+            return ("b" if two >= den else "c",
+                    Fraction(two, den) if two <= den else Fraction(2 * den - two, den))
+        two = 2.0 * z  # exact, so two >= 1.0 exactly when z >= 0.5
+        return ("b" if two >= 1.0 else "c"), (two if two <= 1.0 else 2.0 - two)
 
     def collaboration_step(self, z: float) -> float:
         """Same update computed through the safety/collaboration pipeline

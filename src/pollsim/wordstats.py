@@ -77,20 +77,12 @@ class Census:
         return {w: c / self.windows for w, c in self.counts.items()}
 
 
-def _prefix(word, n: int | None) -> tuple[str, int]:
-    """The first ``n`` letters of a word (all of them when ``n`` is None)."""
-    text = _letters(word)
-    if n is None:
-        return text, len(text)
-    if not 1 <= n <= len(text):
-        raise ValueError(f"n = {n} is not in 1..{len(text)}, the word's length")
-    return text[:n], n
-
-
 def subword_census(word, block: int, n: int | None = None) -> Census:
     """Occurrence counts of every length-``block`` factor of the first
     ``n`` letters."""
-    text, n = _prefix(word, n)
+    text = _letters(word)
+    n = len(text) if n is None else n
+    text = text[:n]
     for codes in _window_codes(text, n, block, "block"):
         pass  # keep the codes of the length-``block`` windows
     values, first, counts = np.unique(codes, return_index=True, return_counts=True)
@@ -135,9 +127,10 @@ class EntropyProfile:
 
 
 def ks_profile(word, n: int | None = None, max_block: int = 16) -> EntropyProfile:
-    text, n = _prefix(word, n)
+    text = _letters(word)
+    n = len(text) if n is None else n
     entropy, distinct = [], []
-    for codes in _window_codes(text, n, max_block, "max_block"):
+    for codes in _window_codes(text[:n], n, max_block, "max_block"):
         values, counts = np.unique(codes, return_counts=True)
         entropy.append(_entropy_from_counts(counts))
         distinct.append(len(values))

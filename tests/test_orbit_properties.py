@@ -87,6 +87,12 @@ def test_advance_is_the_winner_and_the_step(case, n):
         state = nxt
 
 
+@given(unit)
+def test_tent_float_advance_is_the_winner_and_the_step(z):
+    w, nxt = TENT.advance(z)
+    assert (w, nxt.hex()) == (TENT.winner(z), TENT.step(z).hex())
+
+
 def test_grid_evaluates_one_outcome_per_row(monkeypatch, tmp_path):
     # 30 x 30 starts with 9 rows each: 8,100 rows and as many outcomes
     calls = []

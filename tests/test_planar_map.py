@@ -1,7 +1,9 @@
 """The planar map's configuration-specialized `winner`, `step` and
-`advance` against the reference methods built on `scores` and `safety`,
-bit for bit, on random configurations and states, including states where
-two or three scores tie exactly."""
+`advance` against `reference_winner` and `reference_step`, built on
+`scores` and `safety`, bit for bit, on random configurations and states,
+including states where two or three scores tie exactly."""
+
+import pickle
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -76,8 +78,8 @@ def bits(state):
 
 def check(config, state):
     m = build_planar_map(config)
-    want_w = PlanarReluctanceMap.winner(m, state)
-    want = bits(PlanarReluctanceMap.step(m, state))
+    want_w = m.reference_winner(state)
+    want = bits(m.reference_step(state))
     assert m.winner(state) == want_w
     assert bits(m.step(state)) == want
     w, nxt = m.advance(state)
@@ -103,5 +105,12 @@ def test_resolved_orbit_equals_reference_orbit(case, n):
     m = build_planar_map(config)
     ref = state
     for _ in range(n):
-        state, ref = m.step(state), PlanarReluctanceMap.step(m, ref)
+        state, ref = m.step(state), m.reference_step(ref)
         assert bits(state) == bits(ref)
+
+
+def test_map_pickles_by_its_configuration():
+    m = build_planar_map(ReluctanceConfig(b_score_rule=BScoreRule.LITERAL, collaboration=RationalDecay(3.0)))
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy.config == m.config
+    assert copy.advance((0.25, 0.75)) == m.advance((0.25, 0.75))

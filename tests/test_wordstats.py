@@ -59,16 +59,6 @@ def test_subword_census_basics():
         subword_census("abc", 0)
 
 
-@pytest.mark.parametrize("n", [0, 5, 10])
-def test_prefix_length_must_fit_the_word(n):
-    with pytest.raises(ValueError, match="word's length"):
-        subword_census("abab", 2, n=n)
-    with pytest.raises(ValueError, match="word's length"):
-        ks_profile("abab", n=n, max_block=2)
-    assert subword_census("abab", 2, n=4).windows == 3
-    assert ks_profile("abab", n=4, max_block=2).n == 4
-
-
 def test_subword_census_proportions():
     c = subword_census("abab", 1)
     assert c.proportions() == {"a": 0.5, "b": 0.5}
