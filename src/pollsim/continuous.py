@@ -7,11 +7,17 @@ fraction ``rate(outcome)`` of every type's voters to its target: the unit
 point of the ballot its simple strategy casts at the outcome's (winner,
 runner-up).  The discrete dynamics embeds as rate 1 (`embed_discrete`);
 the perturbed dynamics gates the rate on the pairwise score margins
-(`perturbed_dynamics`).
+(`perturbed_dynamics`).  Both rates are named objects (`ConstantRate`,
+`MarginGate`), so a dynamics pickles.
+
+`ContinuousDynamics.step`, `advance` and `winner` run one kernel that
+`_resolved_step` builds from the dynamics at construction; `scores`,
+`outcome` and `_move` are the readable reference it matches bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -82,6 +88,31 @@ def orbit_rows(
 
 
 @dataclass(frozen=True)
+class ConstantRate:
+    """The rate ``p`` at every outcome."""
+
+    p: float
+
+    def __call__(self, out: Outcome) -> float:
+        return self.p
+
+
+@dataclass(frozen=True)
+class MarginGate:
+    """The perturbed rate: ``p`` where every pairwise score margin reaches
+    ``threshold``, ``closed`` elsewhere."""
+
+    p: float
+    threshold: float
+    closed: float
+
+    def __call__(self, out: Outcome) -> float:
+        if all(abs(a - b) >= self.threshold for a, b in combinations(out.tally.scores, 2)):
+            return self.p
+        return self.closed
+
+
+@dataclass(frozen=True)
 class ContinuousDynamics:
     """``targets`` maps an outcome's (winner, runner-up) to the slot of
     every type's strategy ballot in ``admissible``; ``rate`` gives the
@@ -91,6 +122,12 @@ class ContinuousDynamics:
     admissible: tuple[tuple[Ballot, ...], ...]
     targets: dict
     rate: Callable[[Outcome], float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_advance", _resolved_step(self))
+
+    def __reduce__(self):  # the kernel does not pickle; the fields do
+        return ContinuousDynamics, (self.electorate, self.admissible, self.targets, self.rate)
 
     @cached_property
     def _contributions(self):
@@ -127,20 +164,20 @@ class ContinuousDynamics:
         return outcome_from_tally(self.scores(state))
 
     def winner(self, state: ContinuousState) -> str:
-        return self.outcome(state).winner
+        return self._advance(state)[0]
 
     def step(self, state: ContinuousState) -> ContinuousState:
-        return self._move(state, self.outcome(state))
+        return self._advance(state)[1]
 
     def advance(self, state: ContinuousState) -> tuple[str, ContinuousState]:
-        out = self.outcome(state)
-        return out.ranking[0], self._move(state, out)
+        return self._advance(state)
 
     def _move(self, state: ContinuousState, out: Outcome) -> ContinuousState:
-        """Move the fraction p = rate(outcome) of every type to its target
-        slot j: q = 1 - p of each share stays and the target gains p, which
-        is p * unit + q * shares bit for bit.  A type already at its target
-        keeps its point (blending would round 1 to p + q)."""
+        """Reference move: the fraction p = rate(outcome) of every type
+        goes to its target slot j: q = 1 - p of each share stays and the
+        target gains p, which is p * unit + q * shares bit for bit.  A type
+        already at its target keeps its point (blending would round 1 to
+        p + q)."""
         p = self.rate(out)
         if p == 0.0:
             return state
@@ -219,6 +256,78 @@ class ContinuousDynamics:
         return self.state_from_shares({name: {ballot: 1.0} for name, ballot in assignment.items()})
 
 
+def _resolved_step(dyn: ContinuousDynamics):
+    """The dynamics' ``advance``: `scores`, `outcome`, `rate` and `_move`
+    with every lookup resolved here, once.  Candidate c's score adds the
+    terms (type, slot, weight) in the order `scores` adds them, skipping
+    zero shares as it does; the stable descending sort breaks ties toward
+    the lower index, as `outcome_from_tally` does; a `ConstantRate` or
+    `MarginGate` is evaluated on the scores, any other rate gets the
+    `Outcome`."""
+    cand = dyn.electorate.candidates
+    names = cand.names
+    if len(names) < 2:
+        raise ValueError("continuous dynamics needs at least two candidates")
+    terms = [[] for _ in names]
+    for i, vecs in enumerate(dyn._contributions):
+        for j, pairs in enumerate(vecs):
+            for c, w in pairs:
+                terms[c].append((i, j, w))
+    terms = tuple(tuple(t) for t in terms)
+    indices = range(len(names))
+    slots = {(cand.index(w), cand.index(r)): js for (w, r), js in dyn.targets.items()}
+    units = {key: tuple(u[j] for u, j in zip(dyn._units, js)) for key, js in slots.items()}
+    rate = dyn.rate
+    gated = type(rate) is MarginGate
+    p_fixed = rate.p if gated or type(rate) is ConstantRate else None
+    if gated:
+        threshold, closed = rate.threshold, rate.closed
+
+    def advance(state):
+        shares = [point.shares for point in state]
+        acc = []
+        for c_terms in terms:
+            v = 0.0
+            for i, j, w in c_terms:
+                s = shares[i][j]
+                if s:
+                    v += s * w
+            acc.append(v)
+        order = sorted(indices, key=acc.__getitem__, reverse=True)
+        winner, pair = names[order[0]], (order[0], order[1])
+        if gated:
+            # the gate's >= on adjacent scores of the ranking: rounding is
+            # monotone, so no other pair's margin is smaller
+            p = p_fixed
+            hi = acc[order[0]]
+            for k in order[1:]:
+                lo = acc[k]
+                if not hi - lo >= threshold:
+                    p = closed
+                    break
+                hi = lo
+        elif p_fixed is not None:
+            p = p_fixed
+        else:
+            p = rate(Outcome(Tally(cand, tuple(acc)), tuple(names[k] for k in order)))
+        if p == 0.0:
+            return winner, state
+        if p == 1.0:
+            return winner, units[pair]
+        q = 1.0 - p
+        points = []
+        for point, j, sh in zip(state, slots[pair], shares):
+            if sh[j] == 1.0:
+                points.append(point)
+                continue
+            new = [q * s for s in sh]
+            new[j] += p
+            points.append(SimplexPoint(tuple(new)))
+        return winner, tuple(points)
+
+    return advance
+
+
 def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
     """Sup norm over every ballot share of every type."""
     worst = 0.0
@@ -247,7 +356,7 @@ def embed_discrete(electorate: Electorate) -> ContinuousDynamics:
     """The continuous lift of the discrete dynamics (rate 1): every state
     maps to the extreme state of the ballots the discrete strategies
     dictate."""
-    return _dynamics(electorate, lambda out: 1.0)
+    return _dynamics(electorate, ConstantRate(1.0))
 
 
 class Fallback(Enum):
@@ -271,17 +380,10 @@ def perturbed_dynamics(
     applies."""
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    threshold = margin * electorate.total_weight
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
     closed = {Fallback.KEEP: 0.0, Fallback.APPLY: p, Fallback.HALF: p / 2}[fallback]
-
-    def rate(out: Outcome) -> float:
-        if all(abs(a - b) >= threshold for a, b in combinations(out.tally.scores, 2)):
-            return p
-        return closed
-
-    return _dynamics(electorate, rate)
+    return _dynamics(electorate, MarginGate(p, margin * electorate.total_weight, closed))
 
 
 @dataclass(frozen=True)

@@ -136,3 +136,9 @@ def test_grid_command(capsys, tmp_path):
 def test_invalid_ranges_exit_2(capsys):
     assert main(["cpd-orbit", "--model", "tent", "--steps", "-3"]) == 2
     assert main(["entropy", "--model", "tent", "--steps", "100", "--fit", "4:20"]) == 2
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_theta_exits_2(capsys, theta):
+    code, out, err = run(capsys, "grid", "--model", "twobloc", "--theta", theta, "--res", "2", "--iters", "1")
+    assert code == 2 and out == "" and "margin" in err

@@ -1,12 +1,17 @@
 """Continuous-state dynamics: aggregation, the discrete embedding, the
 perturbed two-bloc example, orbit iteration and cycle search."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from pollsim import (
+    CandidateSet,
+    Electorate,
     Fallback,
     PollState,
+    Preference,
     TwoShareView,
     build_polling_graph,
     embed_discrete,
@@ -16,6 +21,7 @@ from pollsim import (
     polling_step,
     sup_distance,
     tally,
+    VoterType,
 )
 from pollsim.presets import (
     consensual_loser_electorate,
@@ -28,6 +34,7 @@ from pollsim.presets import (
     two_bloc_dynamics,
     two_bloc_view,
 )
+from pollsim.strategies import Strategy
 
 P = 0.85
 THETA = 0.04
@@ -348,3 +355,38 @@ def test_simplex_preserved_along_random_orbits():
             for point in s:
                 assert abs(sum(point.shares) - 1.0) <= 1e-12
                 assert all(0.0 <= v <= 1.0 for v in point.shares)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1.0])
+def test_margin_must_be_finite_and_non_negative(margin):
+    # a NaN threshold would close the gate at every state
+    with pytest.raises(ValueError, match="margin"):
+        two_bloc_dynamics(margin=margin)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_bloc_dynamics(fallback=Fallback.HALF),
+    lambda: embed_discrete(lr_cycle_electorate()),
+])
+def test_dynamics_pickle_and_step_like_the_original(make):
+    dyn = make()
+    names = [t.name for t in dyn.electorate.types]
+    starts = [dyn.extreme_state(dict(zip(names, (b[-1] for b in dyn.admissible)))),
+              dyn.state_from_vectors([[1 / len(b)] * len(b) for b in dyn.admissible])]
+    copies = [pickle.loads(pickle.dumps(dyn))]
+    dyn.step(starts[0])
+    copies.append(pickle.loads(pickle.dumps(dyn)))
+    for copy in copies:
+        assert copy == dyn
+        for s in starts:
+            t = s
+            for _ in range(12):
+                s, t = dyn.step(s), copy.step(t)
+                assert [tuple(x.hex() for x in p.shares) for p in s] == [tuple(x.hex() for x in p.shares) for p in t]
+
+
+def test_dynamics_needs_two_candidates():
+    cs = CandidateSet(("a",))
+    one = Electorate(cs, (VoterType("T", Preference(cs, (0,)), 1.0, Strategy.MODIFIED_LEADER_RULE),))
+    with pytest.raises(ValueError, match="two candidates"):
+        embed_discrete(one)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pollsim import (
-    ContinuousDynamics,
     Fallback,
     build_planar_map,
     build_tent_model,
@@ -18,6 +17,7 @@ from pollsim import (
     orbit_rows,
     winners_word,
 )
+from pollsim import continuous
 from pollsim.cli import main
 from pollsim.presets import two_bloc_dynamics, two_bloc_view
 
@@ -94,15 +94,21 @@ def test_tent_float_advance_is_the_winner_and_the_step(z):
 
 
 def test_grid_evaluates_one_outcome_per_row(monkeypatch, tmp_path):
-    # 30 x 30 starts with 9 rows each: 8,100 rows and as many outcomes
+    # 30 x 30 starts with 9 rows each: 8,100 rows and as many evaluations
+    # of the step kernel, which `step`, `advance` and `winner` all run
     calls = []
-    outcome = ContinuousDynamics.outcome
+    resolve = continuous._resolved_step
 
-    def counted(self, state):
-        calls.append(1)
-        return outcome(self, state)
+    def counted(dyn):
+        kernel = resolve(dyn)
 
-    monkeypatch.setattr(ContinuousDynamics, "outcome", counted)
+        def run(state):
+            calls.append(1)
+            return kernel(state)
+
+        return run
+
+    monkeypatch.setattr(continuous, "_resolved_step", counted)
     assert main(["grid", "--model", "twobloc", "--res", "30", "--iters", "8", "--out", str(tmp_path / "g.csv")]) == 0
     assert len(calls) == 8100
 
