@@ -37,11 +37,11 @@ def analyze(tag, weights, rule, norm, steps=STEPS):
         safety_fn=SafetyFunction(SafetyKind.TWO_CASE, norm),
         b_score_rule=rule,
     )
-    word = winners_word(build_planar_map(config), (0.5, 0.5), steps)
+    word = winners_word(build_planar_map(config), (0.5, 0.5), steps).letters
     profile = ks_profile(word, max_block=16)
     fit = ks_entropy_estimate(profile, (4, 14))
     period = detect_eventual_period(word)
-    print(f"{tag:28s} first 44 letters: {word.letters[:44]}")
+    print(f"{tag:28s} first 44 letters: {word[:44]}")
     print(f"{'':28s} entropy rate {fit.slope:.4f} (residual {fit.residual_rms:.4f})"
           + (f", eventually periodic: preperiod {period[0]}, period {period[1]}" if period else ""))
     return profile

@@ -11,7 +11,7 @@ p >= 0.85 and every sub-threshold fallback behavior.
 
 import numpy as np
 
-from pollsim import Fallback, find_periodic_orbit, iterate_orbit, sup_distance
+from pollsim import Fallback, find_periodic_orbit, orbit_rows, sup_distance
 from pollsim.presets import (
     in_region_a1,
     in_region_a2,
@@ -33,9 +33,8 @@ if __name__ == "__main__":
     dyn = two_bloc_dynamics()
     view = two_bloc_view(dyn)
 
-    orbit = iterate_orbit(dyn, view.state(0.99, 0.99), 10)
     print("\norbit from (0.99, 0.99):")
-    for k, s, w in zip(orbit.steps, orbit.states, orbit.winners):
+    for k, s, w in orbit_rows(dyn, view.state(0.99, 0.99), 10):
         x, z = view.coords(s)
         print(f"  poll {k}: (x, z) = ({x:.4f}, {z:.4f})  winner {w}")
 

@@ -26,7 +26,6 @@ from .majority import (
     DuelResult,
     PositionalModel,
     condorcet_analysis,
-    dominates,
     median_candidate,
 )
 from .dynamics import (
@@ -37,7 +36,7 @@ from .dynamics import (
     classify,
     polling_step,
 )
-from .cultures import CultureKind, CultureSpec, l1_distance, sample_electorate, sample_spatial_electorate
+from .cultures import CultureKind, CultureSpec, sample_electorate, sample_spatial_electorate
 from .experiments import ConditionResult, run_condition, run_table, table_csv, wilson_interval
 from .continuous import (
     ConstantRate,
@@ -48,7 +47,6 @@ from .continuous import (
     TwoShareView,
     embed_discrete,
     find_periodic_orbit,
-    iterate_orbit,
     orbit_rows,
     perturbed_dynamics,
     sup_distance,

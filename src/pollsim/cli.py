@@ -120,16 +120,24 @@ def _planar_source(args):
 
 def _orbit_start(args):
     """The requested model as (source, start state, coordinates of a
-    state): planar starts are x,z pairs, tent starts rationals."""
+    state): planar starts x,z in the unit square, tent starts in [0, 1]."""
     if args.model == "tent":
         model = behaviors.build_tent_model()
-        z = Fraction(args.start) if args.start else model.default_start(args.seed)
+        try:
+            z = Fraction(args.start) if args.start else model.default_start(args.seed)
+        except ZeroDivisionError:
+            raise ValueError(f"--start {args.start} has a zero denominator") from None
+        if not 0 <= z <= 1:
+            raise ValueError("--start must lie in [0, 1]")
         return model, z, lambda z: (float(z),)
     source, state, coords = _planar_source(args)
     parts = args.start.split(",") if args.start else ["0.5", "0.5"]
     if len(parts) != 2:
         raise ValueError("--start must be x,z")
-    return source, state(float(parts[0]), float(parts[1])), coords
+    x, z = float(parts[0]), float(parts[1])
+    if not (0 <= x <= 1 and 0 <= z <= 1):
+        raise ValueError("--start x,z must lie in the unit square")
+    return source, state(x, z), coords
 
 
 def _cmd_orbit(args) -> int:
@@ -210,7 +218,7 @@ def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> N
     sub.add_argument("--lam", type=float, default=45.0, help="rational collaboration steepness")
     sub.add_argument("--weights", type=lambda s: tuple(float(x) for x in s.split(",")),
                      default=(3.0, 1.0, 3.0, 5.0), help="reluctance weights nZ,nY,nX,nW")
-    sub.add_argument("--start", default=None, help="start point: x,z (planar) or a rational like 2/5 (tent)")
+    sub.add_argument("--start", default=None, help="x,z in the unit square (planar) or a rational in [0, 1] like 2/5 (tent)")
     sub.add_argument("--seed", type=int, default=0)
 
 

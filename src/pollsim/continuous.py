@@ -419,26 +419,6 @@ class TwoShareView:
         return (state[ix].shares[jx], state[iz].shares[jz])
 
 
-@dataclass
-class Orbit:
-    steps: list[int]
-    states: list
-    winners: str
-
-
-def iterate_orbit(
-    source: SymbolicSource,
-    start,
-    n_steps: int,
-    keep_every: int = 1,
-    discard: int = 0,
-) -> Orbit:
-    """Iterate a map, recording every ``keep_every``-th state after an
-    optional transient of ``discard`` steps."""
-    rows = list(orbit_rows(source, start, n_steps, keep_every, discard))
-    return Orbit([k for k, _, _ in rows], [s for _, s, _ in rows], "".join(w for _, _, w in rows))
-
-
 @dataclass(frozen=True)
 class PeriodicOrbit:
     states: tuple

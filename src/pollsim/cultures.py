@@ -17,7 +17,6 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -72,12 +71,6 @@ def candidate_names(n: int) -> tuple[str, ...]:
     if n <= len(letters):
         return tuple(letters[:n])
     return tuple(letters[i % 26] + str(i // 26) for i in range(n))
-
-
-def l1_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    if len(p) != len(q):
-        raise ValueError("dimension mismatch")
-    return float(sum(abs(a - b) for a, b in zip(p, q)))
 
 
 def _electorate(spec: CultureSpec, ranks: np.ndarray, weights: np.ndarray) -> Electorate:

@@ -34,19 +34,6 @@ def duel_tensor(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("bt,btij->bij", weights, ranks[..., :, None] < ranks[..., None, :])
 
 
-def dominates(electorate: Electorate, alpha: Candidate, beta: Candidate) -> DuelResult:
-    if alpha == beta:
-        raise ValueError("a candidate cannot be compared with herself")
-    d = duel_matrix(electorate)
-    i = electorate.candidates.index(alpha)
-    j = electorate.candidates.index(beta)
-    if d[i, j] > d[j, i]:
-        return DuelResult.DOMINATES
-    if d[i, j] < d[j, i]:
-        return DuelResult.DOMINATED
-    return DuelResult.TIE
-
-
 @dataclass(frozen=True)
 class CondorcetReport:
     candidates: tuple[Candidate, ...]

@@ -181,11 +181,6 @@ def sincere_ballots(pref: Preference) -> list[Ballot]:
     return out
 
 
-def is_degenerate_ballot(ballot: Ballot, candidates: CandidateSet) -> bool:
-    """Empty and full ballots are legal but carry no information."""
-    return len(ballot) == 0 or len(ballot) == len(candidates)
-
-
 @dataclass(frozen=True)
 class VoterType:
     """A bloc of identical voters: preference, weight and strategy tag."""

@@ -70,19 +70,6 @@ def two_bloc_electorate() -> Electorate:
     )
 
 
-def tent_electorate() -> Electorate:
-    """Three types of which only Z reacts to polls; the collaboration
-    share of Z follows the tent map."""
-    return _electorate(
-        "abc",
-        [
-            ("Z", "abc", 2, Strategy.MODIFIED_LEADER_RULE),
-            ("Y", "b(ac)", 3.5, Strategy.MODIFIED_LEADER_RULE),
-            ("X", "c(ab)", 4.5, Strategy.MODIFIED_LEADER_RULE),
-        ],
-    )
-
-
 def two_bloc_dynamics(p: float = 0.85, margin: float = 0.04, fallback: Fallback = Fallback.KEEP) -> ContinuousDynamics:
     """Perturbed dynamics on the two-bloc electorate: a fraction p of each
     type adjusts whenever all pairwise margins reach the threshold."""

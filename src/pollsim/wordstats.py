@@ -23,7 +23,6 @@ class WinnersWord:
     """Sequence of election winners along an orbit, one letter per step."""
 
     letters: str
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -32,20 +31,16 @@ class WinnersWord:
         return self.letters
 
 
-def winners_word(source, start, n: int, label: str = "") -> WinnersWord:
+def winners_word(source, start, n: int) -> WinnersWord:
     """First ``n`` winners along the orbit of ``start`` under ``source``
-    (anything with ``step`` and ``winner``): the winners of ``n - 1``
-    steps."""
+    (anything `orbit_rows` iterates: ``step``, ``winner`` and
+    ``advance``): the winners of ``n - 1`` steps."""
     if n < 1:
         raise ValueError("need at least one letter")
     letters = [w for _, _, w in orbit_rows(source, start, n - 1)]
     if any(len(w) != 1 for w in letters):
         raise ValueError("winners words need single-character candidate names")
-    return WinnersWord("".join(letters), label)
-
-
-def _letters(word) -> str:
-    return word.letters if isinstance(word, WinnersWord) else word
+    return WinnersWord("".join(letters))
 
 
 def _window_codes(text: str, n: int, max_block: int, name: str):
@@ -77,10 +72,9 @@ class Census:
         return {w: c / self.windows for w, c in self.counts.items()}
 
 
-def subword_census(word, block: int, n: int | None = None) -> Census:
+def subword_census(text: str, block: int, n: int | None = None) -> Census:
     """Occurrence counts of every length-``block`` factor of the first
     ``n`` letters."""
-    text = _letters(word)
     n = len(text) if n is None else n
     text = text[:n]
     for codes in _window_codes(text, n, block, "block"):
@@ -126,8 +120,7 @@ class EntropyProfile:
         return tuple(math.log(s) for s in self.distinct)
 
 
-def ks_profile(word, n: int | None = None, max_block: int = 16) -> EntropyProfile:
-    text = _letters(word)
+def ks_profile(text: str, n: int | None = None, max_block: int = 16) -> EntropyProfile:
     n = len(text) if n is None else n
     entropy, distinct = [], []
     for codes in _window_codes(text[:n], n, max_block, "max_block"):
@@ -239,11 +232,10 @@ def _period_by_filter(data: bytes) -> tuple[int, int] | None | bool:
     return None
 
 
-def detect_eventual_period(word) -> tuple[int, int] | None:
+def detect_eventual_period(text: str) -> tuple[int, int] | None:
     """Smallest period p (then smallest preperiod q) such that the word
     repeats with period p from position q on, requiring both p and q to
     fit in the first third of the word; None when nothing qualifies."""
-    text = _letters(word)
     if len(text) >= 3 and text.isascii():
         found = _period_by_filter(text.encode("ascii"))
         if found is not False:

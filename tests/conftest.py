@@ -1,12 +1,7 @@
 import pytest
 
 from pollsim import CandidateSet, Preference
-from pollsim.presets import (
-    consensual_loser_electorate,
-    lr_cycle_electorate,
-    tent_electorate,
-    two_bloc_electorate,
-)
+from pollsim.presets import consensual_loser_electorate, lr_cycle_electorate, two_bloc_electorate
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +27,6 @@ def loser_electorate():
 @pytest.fixture(scope="session")
 def bloc_electorate():
     return two_bloc_electorate()
-
-
-@pytest.fixture(scope="session")
-def tent_elect():
-    return tent_electorate()
 
 
 def pref(candidates: CandidateSet, text: str) -> Preference:

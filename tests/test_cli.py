@@ -142,3 +142,23 @@ def test_invalid_ranges_exit_2(capsys):
 def test_non_finite_or_negative_theta_exits_2(capsys, theta):
     code, out, err = run(capsys, "grid", "--model", "twobloc", "--theta", theta, "--res", "2", "--iters", "1")
     assert code == 2 and out == "" and "margin" in err
+
+
+SMALL_ENTROPY = ["--steps", "100", "--lmax", "6", "--fit", "2:5"]
+
+
+@pytest.mark.parametrize("command,model,start", [
+    ("cpd-orbit", "tent", "1/0"),
+    ("cpd-orbit", "tent", "3/2"),
+    ("cpd-orbit", "tent", "-1/3"),
+    ("entropy", "tent", "1/0"),
+    ("cpd-orbit", "reluctance", "2,-1"),
+    ("cpd-orbit", "reluctance", "nan,0.5"),
+    ("cpd-orbit", "twobloc", "0.5,1.5"),
+    ("entropy", "reluctance", "2,-1"),
+])
+def test_start_outside_the_model_exits_2(capsys, command, model, start):
+    # tent starts lie in [0, 1]; planar x and z are shares
+    steps = ["--steps", "4"] if command == "cpd-orbit" else SMALL_ENTROPY
+    code, out, err = run(capsys, command, "--model", model, f"--start={start}", *steps)
+    assert code == 2 and out == "" and "--start" in err

@@ -16,7 +16,7 @@ from pollsim import (
     build_polling_graph,
     embed_discrete,
     find_periodic_orbit,
-    iterate_orbit,
+    orbit_rows,
     perturbed_dynamics,
     polling_step,
     sup_distance,
@@ -231,31 +231,30 @@ def test_fallback_keep_freezes_low_margin_states():
     assert sup_distance(applied.step(s), s) > 0.1
 
 
-def test_iterate_orbit_from_fixed_point():
+def test_orbit_rows_from_fixed_point():
     e = consensual_loser_electorate()
     dyn = embed_discrete(e)
     from pollsim import ballot_for
 
     ballots = {t.name: ballot_for(t.strategy, t.preference, PollState("a", "c")) for t in e.types}
     s = dyn.extreme_state(ballots)
-    orbit = iterate_orbit(dyn, s, 10)
-    assert orbit.winners == "a" * 11
-    assert all(sup_distance(st, s) == 0.0 for st in orbit.states)
+    rows = list(orbit_rows(dyn, s, 10))
+    assert "".join(w for _, _, w in rows) == "a" * 11
+    assert all(sup_distance(st, s) == 0.0 for _, st, _ in rows)
 
 
-def test_iterate_orbit_two_bloc_alternates_winners():
+def test_orbit_rows_two_bloc_alternates_winners():
     dyn = two_bloc_dynamics()
     view = two_bloc_view(dyn)
-    orbit = iterate_orbit(dyn, view.state(0.99, 0.99), 12)
-    assert orbit.winners == "ac" * 6 + "a"
+    rows = orbit_rows(dyn, view.state(0.99, 0.99), 12)
+    assert "".join(w for _, _, w in rows) == "ac" * 6 + "a"
 
 
-def test_iterate_orbit_thinning():
+def test_orbit_rows_thinning():
     dyn = two_bloc_dynamics()
     view = two_bloc_view(dyn)
-    orbit = iterate_orbit(dyn, view.state(0.99, 0.99), 12, keep_every=3, discard=2)
-    assert orbit.steps == [2, 5, 8, 11, 14]
-    assert len(orbit.states) == 5
+    rows = orbit_rows(dyn, view.state(0.99, 0.99), 12, keep_every=3, discard=2)
+    assert [k for k, _, _ in rows] == [2, 5, 8, 11, 14]
 
 
 def test_find_periodic_orbit_two_cycle():

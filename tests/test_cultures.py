@@ -4,7 +4,7 @@ guarantees of the one-dimensional culture."""
 import numpy as np
 import pytest
 
-from pollsim import CultureKind, CultureSpec, condorcet_analysis, l1_distance, sample_electorate
+from pollsim import CultureKind, CultureSpec, condorcet_analysis, sample_electorate
 from pollsim.cultures import _sample_spatial, candidate_names, sample_spatial_electorate, trial_seed
 from pollsim.strategies import Strategy
 
@@ -36,13 +36,6 @@ def test_determinism_per_trial():
     a = sample_electorate(spec_of(CultureKind.IMPARTIAL, Strategy.LEADER_RULE, seed=1), 0)
     b = sample_electorate(spec_of(CultureKind.IMPARTIAL, Strategy.LEADER_RULE, seed=1), 1)
     assert a != b
-
-
-def test_l1_distance():
-    assert l1_distance((0.0, 0.0), (1.0, 1.0)) == 2.0
-    assert l1_distance((0.25,), (0.75,)) == 0.5
-    with pytest.raises(ValueError):
-        l1_distance((0.0,), (0.0, 1.0))
 
 
 def test_l1_expected_distance_matches_d_over_3():
@@ -129,7 +122,7 @@ def test_spatial_ranks_match_distances(strategy):
         e, model = sample_spatial_electorate(spec, i)
         for t in e.types:
             pos = model.type_positions[t.name]
-            dist = [l1_distance(pos, model.candidate_positions[c]) for c in e.candidates]
+            dist = [sum(abs(a - b) for a, b in zip(pos, model.candidate_positions[c])) for c in e.candidates]
             places = [sum(o < x for o in dist) for x in dist]
             ranks = t.preference.ranks
             assert ranks == tuple(min(p, max(ranks)) for p in places)

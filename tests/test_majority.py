@@ -10,7 +10,6 @@ from pollsim import (
     PositionalModel,
     VoterType,
     condorcet_analysis,
-    dominates,
     median_candidate,
 )
 from pollsim.cultures import sample_spatial_electorate
@@ -20,11 +19,10 @@ from conftest import pref
 
 
 def test_dominates_loser_electorate(loser_electorate):
-    assert dominates(loser_electorate, "a", "b") is DuelResult.DOMINATES
-    assert dominates(loser_electorate, "b", "c") is DuelResult.DOMINATES
-    assert dominates(loser_electorate, "c", "b") is DuelResult.DOMINATED
-    with pytest.raises(ValueError):
-        dominates(loser_electorate, "a", "a")
+    domination = condorcet_analysis(loser_electorate).domination
+    assert domination[("a", "b")] is DuelResult.DOMINATES
+    assert domination[("b", "c")] is DuelResult.DOMINATES
+    assert domination[("c", "b")] is DuelResult.DOMINATED
 
 
 def test_dominates_tie(abc):
@@ -32,7 +30,7 @@ def test_dominates_tie(abc):
         VoterType("Z", pref(abc, "abc"), 1.0, Strategy.LEADER_RULE),
         VoterType("Y", pref(abc, "cba"), 1.0, Strategy.LEADER_RULE),
     ))
-    assert dominates(e, "a", "c") is DuelResult.TIE
+    assert condorcet_analysis(e).domination[("a", "c")] is DuelResult.TIE
 
 
 def test_condorcet_analysis_cycle_electorate(cycle_electorate):

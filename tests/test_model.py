@@ -14,7 +14,7 @@ from pollsim import (
     sincere_ballots,
     tally,
 )
-from pollsim.model import is_degenerate_ballot, is_weakly_sincere
+from pollsim.model import is_weakly_sincere
 from pollsim.strategies import Strategy
 
 from conftest import pref
@@ -103,12 +103,6 @@ def test_every_sincere_ballot_is_sincere(abcd):
         p = pref(abcd, notation)
         for ballot in sincere_ballots(p):
             assert is_sincere(p, ballot)
-
-
-def test_degenerate_ballots(abc):
-    assert is_degenerate_ballot(frozenset(), abc)
-    assert is_degenerate_ballot(frozenset("abc"), abc)
-    assert not is_degenerate_ballot(frozenset("a"), abc)
 
 
 def test_tally_consensual_loser_example(loser_electorate):
