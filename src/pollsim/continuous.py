@@ -409,6 +409,9 @@ class TwoShareView:
                 raise ValueError(f"type {t.name!r} is not pinned to a single ballot")
 
     def state(self, x: float, z: float) -> ContinuousState:
+        """The state at (x, z); ValueError unless both lie in [0, 1]."""
+        if not (0.0 <= x <= 1.0 and 0.0 <= z <= 1.0):
+            raise ValueError(f"(x, z) = ({x}, {z}) is not in the unit square")
         vectors = [(1.0,)] * len(self.dynamics.admissible)
         for (i, j), v in ((self.x, x), (self.z, z)):
             vectors[i] = (v, 1.0 - v) if j == 0 else (1.0 - v, v)

@@ -47,7 +47,8 @@ def _window_codes(text: str, n: int, max_block: int, name: str):
     """Yield the exact integer codes of all length-1, 2, ..., ``max_block``
     windows of ``text``, the first ``n`` letters of a word.  Codes are
     injective (base**max_block fits in 64 bits), so no collision handling
-    is needed."""
+    is needed.  The reference for `_packed_codes`, and `ks_profile`'s path
+    for windows too wide to pack into 64 bits."""
     if not 1 <= max_block <= n:
         raise ValueError(f"need 1 <= {name} <= n")
     alphabet, codes = np.unique(np.frombuffer(text.encode("ascii"), dtype=np.uint8), return_inverse=True)
@@ -60,6 +61,43 @@ def _window_codes(text: str, n: int, max_block: int, name: str):
     for k in range(1, max_block):
         cur = cur[:-1] * base + codes[k:]
         yield cur
+
+
+def _packed_codes(text: str, n: int, block: int, name: str):
+    """(codes, bits): the length-``block`` window from each position of
+    ``text`` packed into one unsigned integer with ``bits`` bits per
+    letter, first letter highest.  A letter's digit is its rank 1..A among
+    the word's A letters and 0 past the end of the word, so the codes sort
+    as the windows do.  Codes is None when the windows need more than 64
+    bits.  Raises the errors `_window_codes` raises, in its order."""
+    if not 1 <= block <= n:
+        raise ValueError(f"need 1 <= {name} <= n")
+    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    seen = np.zeros(256, dtype=bool)
+    seen[arr] = True
+    lut = np.cumsum(seen)
+    letters = int(lut[-1])
+    if max(2, letters) ** block > 2**62:
+        raise ValueError(f"{name} too long for exact window codes")
+    bits = letters.bit_length()
+    if bits * block > 64:
+        return None, bits
+    dtype = np.uint32 if bits * block <= 32 else np.uint64
+    span = np.zeros(len(arr) + block - 1, dtype)
+    span[:len(arr)] = lut.astype(dtype)[arr]
+    codes = np.zeros(len(arr), dtype)
+    for k in range(block):
+        codes <<= bits
+        codes |= span[k:k + len(arr)]
+    return codes, bits
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 @dataclass(frozen=True)
@@ -121,12 +159,37 @@ class EntropyProfile:
 
 
 def ks_profile(text: str, n: int | None = None, max_block: int = 16) -> EntropyProfile:
+    """Block entropies and distinct-factor counts of the first ``n``
+    letters for block lengths 1..``max_block``, from one sort.
+
+    Every position's length-``max_block`` window (`_packed_codes`, padded
+    past the end of the word) is sorted once; the runs of equal codes count
+    the length-``max_block`` factors.  Shifting out the last letter and
+    merging equal runs gives each shorter length in turn, without the
+    windows whose last letter lies past the end.  The factors come out in
+    the order `np.unique` puts the `_window_codes` codes in, so the
+    profile is bit-identical to that reference, which is also the path
+    when the packed windows need more than 64 bits.  Warns when
+    S(``max_block``) leaves fewer than 10 windows per factor."""
     n = len(text) if n is None else n
-    entropy, distinct = [], []
-    for codes in _window_codes(text[:n], n, max_block, "max_block"):
-        values, counts = np.unique(codes, return_counts=True)
-        entropy.append(_entropy_from_counts(counts))
-        distinct.append(len(values))
+    text = text[:n]
+    codes, bits = _packed_codes(text, n, max_block, "max_block")
+    if codes is None:
+        counts = [np.unique(c, return_counts=True)[1] for c in _window_codes(text, n, max_block, "max_block")]
+    else:
+        codes.sort()
+        last = codes.dtype.type((1 << bits) - 1)  # the last letter's digit
+        starts = _run_starts(codes)
+        tally, codes = np.diff(starts, append=len(codes)), codes[starts]
+        counts = [tally[(codes & last) != 0]]
+        for _ in range(max_block - 1):
+            codes >>= bits
+            starts = _run_starts(codes)
+            tally, codes = np.add.reduceat(tally, starts), codes[starts]
+            counts.append(tally[(codes & last) != 0])
+        counts.reverse()
+    entropy = [_entropy_from_counts(c) for c in counts]
+    distinct = [len(c) for c in counts]
     windows = n - max_block + 1
     if distinct[-1] > windows / 10:
         warnings.warn(

@@ -8,14 +8,16 @@ Monte Carlo CSV and analyze/DOT digests were taken before preferences
 became rank vectors and the poll graph was decomposed on pair indices;
 the `analyze --strong` ones before the poll graph kept only its
 pair-index arrays and the Condorcet report was derived from one majority
-relation."""
+relation.  The `ks_profile` digests (the entropies' `float.hex` and the
+distinct-factor counts) were taken before the profile came from one sort
+of packed window codes."""
 
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from pollsim import ReluctanceConfig, build_planar_map, winners_word
+from pollsim import ReluctanceConfig, build_planar_map, build_tent_model, ks_profile, winners_word
 from pollsim.cli import main
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
@@ -70,6 +72,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _profile_digest(profile) -> str:
+    text = ",".join(h.hex() for h in profile.entropy) + ";" + ",".join(map(str, profile.distinct))
+    return _digest(text.encode())
+
+
 @pytest.mark.parametrize("name", [*OUTPUTS, *MC_OUTPUTS])
 def test_cli_output_digest(name, tmp_path):
     argv, digest = {**OUTPUTS, **MC_OUTPUTS}[name]
@@ -108,3 +115,11 @@ def test_planar_winners_word_digest():
     word = winners_word(build_planar_map(ReluctanceConfig()), (0.5, 0.5), 2**14).letters
     assert len(word) == 2**14
     assert _digest(word.encode()) == "2d007f3cc8b9068b919dbe910b3637b0f0d86086a88c3f7910dc18a88df30b82"
+    assert _profile_digest(ks_profile(word)) == "41d8ca40541d7f2de3bf9a87db189a6b10ec9ad1d37ad9d6c088ed076a685af6"
+
+
+def test_tent_profile_digest():
+    tent = build_tent_model()
+    word = tent.winners_word_exact(tent.default_start(1), 2**20)
+    profile = ks_profile(word, max_block=16)
+    assert _profile_digest(profile) == "401ac7c9854e64dcebeaf57f0a15305c357a2118e371b595b6e08723cecaa946"

@@ -1,12 +1,14 @@
 """The continuous-state access that perfbench's perturbed-dynamics
 workload relies on: per-type `.shares` aligned with `dynamics.admissible`,
 `extreme_state` over every combination of admissible ballots, the
-`TwoShareView` state/coords round trip, and equal states when a lift is
-run again."""
+`TwoShareView` state/coords round trip and its unit-square check, and
+equal states when a lift is run again."""
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 
 from pollsim import embed_discrete
 from pollsim.presets import consensual_loser_electorate, lr_cycle_electorate, two_bloc_dynamics, two_bloc_view
@@ -47,6 +49,20 @@ def test_view_state_coords_round_trip():
     rng = np.random.default_rng(0)
     for _ in range(2000):
         x, z = rng.random(), rng.random()
+        assert view.coords(view.state(x, z)) == (x, z)
+
+
+@pytest.mark.parametrize("x, z", [(0.5, 1.5), (-0.1, 0.5), (0.5, -1e-12), (1.0 + 1e-12, 0.5),
+                                  (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+def test_view_state_rejects_coords_outside_the_unit_square(x, z):
+    view = two_bloc_view(two_bloc_dynamics())
+    with pytest.raises(ValueError, match="not in the unit square"):
+        view.state(x, z)
+
+
+def test_view_state_accepts_the_unit_square_corners():
+    view = two_bloc_view(two_bloc_dynamics())
+    for x, z in itertools.product((0.0, 1.0), repeat=2):
         assert view.coords(view.state(x, z)) == (x, z)
 
 

@@ -1,4 +1,7 @@
 import math
+import re
+import string
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +94,81 @@ def test_ks_profile_coin_word():
 def test_ks_profile_warns_when_blocks_too_long():
     with pytest.warns(UserWarning):
         ks_profile(coin_word(2000), max_block=14)
+
+
+def _unique_profile(text, n, max_block):
+    """(entropy float.hex, distinct counts) of the reference: the
+    `_window_codes` codes of each block length through `np.unique`."""
+    counts = [np.unique(c, return_counts=True)[1]
+              for c in wordstats._window_codes(text[:n], n, max_block, "max_block")]
+    return [wordstats._entropy_from_counts(c).hex() for c in counts], [len(c) for c in counts]
+
+
+def _largest_exact_block(letters):
+    """The largest block length whose codes pass the 2**62 check."""
+    k = 1
+    while max(2, letters) ** (k + 1) <= 2**62:
+        k += 1
+    return k
+
+
+@st.composite
+def window_cases(draw):
+    """(word, n, block) over 1-26 letters with n below or above the word's
+    length; block lengths include those whose packed windows take 32, 33,
+    64 and 65 bits and both sides of the exact-code limit."""
+    alphabet = draw(st.permutations(string.ascii_lowercase))[:draw(st.integers(1, 26))]
+    word = draw(st.text(st.sampled_from(alphabet), min_size=1, max_size=300))
+    n = draw(st.one_of(st.integers(1, len(word)), st.integers(len(word), len(word) + 80)))
+    letters = len(set(word[:n]))
+    bits = letters.bit_length()
+    edges = [t // bits for t in (32, 33, 64, 65) if t % bits == 0]
+    top = _largest_exact_block(letters)
+    block = draw(st.one_of(st.integers(1, min(n, 20)), st.sampled_from(edges + [top, top + 1])))
+    return word, n, block
+
+
+def _check_profile(word, n, max_block):
+    try:
+        expected = _unique_profile(word, n, max_block)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            ks_profile(word, n, max_block)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = ks_profile(word, n, max_block)
+    assert ([h.hex() for h in p.entropy], list(p.distinct)) == expected
+    assert p.blocks == tuple(range(1, max_block + 1)) and p.n == n
+    sparse = expected[1][-1] > (n - max_block + 1) / 10
+    assert [w.category for w in caught] == [UserWarning] * sparse
+
+
+@settings(deadline=None, max_examples=400)
+@given(window_cases())
+@example(("ab" * 100, 200, 16))  # 32 bits: the widest uint32 codes
+@example(("ab" * 100, 200, 17))  # 34 bits: uint64
+@example(("abcd" * 50, 200, 11))  # 33 bits
+@example(("abc" * 50, 150, 32))  # 64 bits: the widest packed codes
+@example(("abcdefghijklmnop" * 10, 160, 13))  # 65 bits: the reference path
+@example(("a" * 40, 70, 33))  # one letter, n above the word's length
+@example(("a" * 40, 70, 62))  # 62 bits, the last exact block of one letter
+@example(("a" * 40, 70, 63))  # base 2: too long for exact codes
+@example(("ab", 10, 5))  # every window of the top lengths runs past the end
+@example(("abc", 2, 3))  # max_block above n
+def test_ks_profile_equals_unique_reference(case):
+    _check_profile(*case)
+
+
+def test_ks_profile_keeps_its_errors():
+    with pytest.raises(ValueError, match="need 1 <= max_block <= n"):
+        ks_profile("abab", max_block=5)
+    with pytest.raises(ValueError, match="max_block too long"):
+        ks_profile("ab" * 40, max_block=63)
+    with pytest.raises(ValueError, match="max_block too long"):
+        ks_profile(string.ascii_lowercase * 2, max_block=14)
+    for word in ("ab" * 40, string.ascii_lowercase * 2):
+        _check_profile(word, len(word), _largest_exact_block(len(set(word))))
 
 
 def test_ks_fit_recovers_linear_slope():
