@@ -39,7 +39,6 @@ from .dynamics import (
 from .cultures import CultureKind, CultureSpec, sample_electorate, sample_spatial_electorate
 from .experiments import ConditionResult, run_condition, run_table, table_csv, wilson_interval
 from .continuous import (
-    ConstantRate,
     ContinuousDynamics,
     Fallback,
     MarginGate,

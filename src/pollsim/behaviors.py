@@ -95,13 +95,16 @@ class ReluctanceConfig:
     n_x: float = 3.0
     n_w: float = 5.0
     safety_fn: SafetyFunction = field(default_factory=SafetyFunction)
-    collaboration: object = field(default_factory=LinearClamped)
+    collaboration: LinearClamped | RationalDecay = field(default_factory=LinearClamped)
     b_score_rule: BScoreRule = BScoreRule.DERIVED
 
     def __post_init__(self) -> None:
         for w in (self.n_z, self.n_y, self.n_x, self.n_w):
             if w <= 0:
                 raise ValueError("weights must be positive")
+        if type(self.collaboration) not in (LinearClamped, RationalDecay):
+            raise TypeError(f"collaboration must be LinearClamped or RationalDecay, "
+                            f"got {type(self.collaboration).__name__}")
 
     @property
     def total_weight(self) -> float:
@@ -171,10 +174,8 @@ def _resolved_map(c: ReluctanceConfig):
     total = c.total_weight
     wc = vc / total if normalized else vc
     two_case = c.safety_fn.kind is SafetyKind.TWO_CASE
-    collab = c.collaboration
-    linear = type(collab) is LinearClamped
-    rational = type(collab) is RationalDecay
-    k = collab.kappa if linear else collab.lam if rational else None
+    linear = type(c.collaboration) is LinearClamped
+    k = c.collaboration.kappa if linear else c.collaboration.lam
 
     def advance(state):
         x, z = state
@@ -194,10 +195,8 @@ def _resolved_map(c: ReluctanceConfig):
             s_z, s_x = d_b, d_a
         if linear:
             cx, cz = 1.0 - k * s_x, 1.0 - k * s_z
-        elif rational:
-            cx, cz = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
         else:
-            cx, cz = collab(s_x), collab(s_z)
+            cx, cz = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
         # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
         return w, (cx if 0.0 < cx < 1.0 else 1.0 if cx >= 1.0 else 0.0,
                    cz if 0.0 < cz < 1.0 else 1.0 if cz >= 1.0 else 0.0)
@@ -238,19 +237,14 @@ class TentModel:
         return (self.n_z, self.n_y + self.n_z * float(z), self.n_x)
 
     def winner(self, z) -> str:
-        if isinstance(z, Fraction):
-            return "b" if 2 * z.numerator >= z.denominator else "c"
-        return "b" if z >= 0.5 else "c"
+        return self.advance(z)[0]
 
     def step(self, z):
-        if isinstance(z, Fraction):
-            num, den = z.numerator, z.denominator
-            two = 2 * num
-            return Fraction(two, den) if two <= den else Fraction(2 * den - two, den)
-        return 2.0 * z if z <= 0.5 else 2.0 - 2.0 * z
+        return self.advance(z)[1]
 
     def advance(self, z):
-        """``(winner(z), step(z))`` from one doubling of z."""
+        """The winner at z and the tent image of z, from one doubling of z;
+        `winner` and `step` return its two halves."""
         if isinstance(z, Fraction):
             num, den = z.numerator, z.denominator
             two = 2 * num

@@ -5,10 +5,10 @@ A state assigns to every voter type a distribution over that type's
 admissible ballots.  A step reads the expected outcome and moves the
 fraction ``rate(outcome)`` of every type's voters to its target: the unit
 point of the ballot its simple strategy casts at the outcome's (winner,
-runner-up).  The discrete dynamics embeds as rate 1 (`embed_discrete`);
-the perturbed dynamics gates the rate on the pairwise score margins
-(`perturbed_dynamics`).  Both rates are named objects (`ConstantRate`,
-`MarginGate`), so a dynamics pickles.
+runner-up).  The rate is a `MarginGate`, a named object, so a dynamics
+pickles: the perturbed dynamics gates the rate on the pairwise score
+margins (`perturbed_dynamics`), and the discrete dynamics embeds as the
+gate of rate 1 that never closes (`embed_discrete`).
 
 `ContinuousDynamics.step`, `advance` and `winner` run one kernel that
 `_resolved_step` builds from the dynamics at construction; `scores`,
@@ -88,19 +88,10 @@ def orbit_rows(
 
 
 @dataclass(frozen=True)
-class ConstantRate:
-    """The rate ``p`` at every outcome."""
-
-    p: float
-
-    def __call__(self, out: Outcome) -> float:
-        return self.p
-
-
-@dataclass(frozen=True)
 class MarginGate:
-    """The perturbed rate: ``p`` where every pairwise score margin reaches
-    ``threshold``, ``closed`` elsewhere."""
+    """The rate of a dynamics: ``p`` where every pairwise score margin
+    reaches ``threshold``, ``closed`` elsewhere; with ``closed == p`` it is
+    the constant rate p."""
 
     p: float
     threshold: float
@@ -121,9 +112,11 @@ class ContinuousDynamics:
     electorate: Electorate
     admissible: tuple[tuple[Ballot, ...], ...]
     targets: dict
-    rate: Callable[[Outcome], float]
+    rate: MarginGate
 
     def __post_init__(self) -> None:
+        if type(self.rate) is not MarginGate:
+            raise TypeError(f"the rate must be a MarginGate, got {type(self.rate).__name__}")
         object.__setattr__(self, "_advance", _resolved_step(self))
 
     def __reduce__(self):  # the kernel does not pickle; the fields do
@@ -197,8 +190,9 @@ class ContinuousDynamics:
 
     def state_from_vectors(self, vectors) -> ContinuousState:
         """Build a state from one share vector per type, in the order of
-        the type's admissible ballots.  Entries are clamped to [0, 1]; each
-        vector must sum to 1 within 1e-12 and is renormalized exactly."""
+        the type's admissible ballots.  Every entry must lie in [0, 1] (NaN
+        does not); each vector must sum to 1 within 1e-12 and is
+        renormalized exactly."""
         if len(vectors) != len(self.admissible):
             raise ValueError("one share vector per voter type")
         points = []
@@ -206,14 +200,10 @@ class ContinuousDynamics:
             if len(shares) != len(ballots):
                 raise ValueError(f"type {t.name!r}: one share per admissible ballot")
             total = 0.0
-            clean = True
             for s in shares:
                 if not 0.0 <= s <= 1.0:
-                    clean = False
+                    raise ValueError(f"type {t.name!r}: share {s} is not in [0, 1]")
                 total += s
-            if not clean:
-                shares = tuple(min(1.0, max(0.0, s)) for s in shares)
-                total = sum(shares)
             if abs(total - 1.0) > SUM_TOL:
                 raise ValueError(f"type {t.name!r}: shares sum to {total}, not 1")
             if total != 1.0:
@@ -261,9 +251,8 @@ def _resolved_step(dyn: ContinuousDynamics):
     with every lookup resolved here, once.  Candidate c's score adds the
     terms (type, slot, weight) in the order `scores` adds them, skipping
     zero shares as it does; the stable descending sort breaks ties toward
-    the lower index, as `outcome_from_tally` does; a `ConstantRate` or
-    `MarginGate` is evaluated on the scores, any other rate gets the
-    `Outcome`."""
+    the lower index, as `outcome_from_tally` does; the `MarginGate` is
+    evaluated on the scores."""
     cand = dyn.electorate.candidates
     names = cand.names
     if len(names) < 2:
@@ -277,11 +266,7 @@ def _resolved_step(dyn: ContinuousDynamics):
     indices = range(len(names))
     slots = {(cand.index(w), cand.index(r)): js for (w, r), js in dyn.targets.items()}
     units = {key: tuple(u[j] for u, j in zip(dyn._units, js)) for key, js in slots.items()}
-    rate = dyn.rate
-    gated = type(rate) is MarginGate
-    p_fixed = rate.p if gated or type(rate) is ConstantRate else None
-    if gated:
-        threshold, closed = rate.threshold, rate.closed
+    p_open, threshold, closed = dyn.rate.p, dyn.rate.threshold, dyn.rate.closed
 
     def advance(state):
         shares = [point.shares for point in state]
@@ -295,21 +280,16 @@ def _resolved_step(dyn: ContinuousDynamics):
             acc.append(v)
         order = sorted(indices, key=acc.__getitem__, reverse=True)
         winner, pair = names[order[0]], (order[0], order[1])
-        if gated:
-            # the gate's >= on adjacent scores of the ranking: rounding is
-            # monotone, so no other pair's margin is smaller
-            p = p_fixed
-            hi = acc[order[0]]
-            for k in order[1:]:
-                lo = acc[k]
-                if not hi - lo >= threshold:
-                    p = closed
-                    break
-                hi = lo
-        elif p_fixed is not None:
-            p = p_fixed
-        else:
-            p = rate(Outcome(Tally(cand, tuple(acc)), tuple(names[k] for k in order)))
+        # the gate's >= on adjacent scores of the ranking: rounding is
+        # monotone, so no other pair's margin is smaller
+        p = p_open
+        hi = acc[order[0]]
+        for k in order[1:]:
+            lo = acc[k]
+            if not hi - lo >= threshold:
+                p = closed
+                break
+            hi = lo
         if p == 0.0:
             return winner, state
         if p == 1.0:
@@ -337,7 +317,7 @@ def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
     return worst
 
 
-def _dynamics(electorate: Electorate, rate: Callable[[Outcome], float]) -> ContinuousDynamics:
+def _dynamics(electorate: Electorate, rate: MarginGate) -> ContinuousDynamics:
     """Dynamics with the given rate and the strategies' targets.  Simple
     strategies make (winner, runner-up) -> ballot a complete lookup table;
     a type's admissible ballots are its image in first occurrence order."""
@@ -355,8 +335,9 @@ def _dynamics(electorate: Electorate, rate: Callable[[Outcome], float]) -> Conti
 def embed_discrete(electorate: Electorate) -> ContinuousDynamics:
     """The continuous lift of the discrete dynamics (rate 1): every state
     maps to the extreme state of the ballots the discrete strategies
-    dictate."""
-    return _dynamics(electorate, ConstantRate(1.0))
+    dictate.  Adjacent scores of a descending ranking differ by at least
+    0, so the gate of threshold 0 never closes; its closed rate is 1 too."""
+    return _dynamics(electorate, MarginGate(1.0, 0.0, 1.0))
 
 
 class Fallback(Enum):

@@ -23,14 +23,14 @@ def duel_matrix(electorate: Electorate) -> np.ndarray:
     candidate j (indifferent voters abstain)."""
     g = np.array([t.preference.ranks for t in electorate.types], dtype=np.int64)
     w = np.array([t.weight for t in electorate.types], dtype=np.float64)
-    strict = g[:, :, None] < g[:, None, :]
-    return np.einsum("t,tij->ij", w, strict)
+    return duel_tensor(g[None], w[None])[0]
 
 
 def duel_tensor(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """`duel_matrix` of a stack of electorates, from their (B, types,
-    candidates) ranks and (B, types) weights.  Equal bit for bit to the
-    per-electorate matrices, exact ties included; a `matmul` form is not."""
+    candidates) ranks and (B, types) weights.  A stack's matrices equal
+    the matrices of its electorates taken one at a time bit for bit,
+    exact ties included; a `matmul` form does not."""
     return np.einsum("bt,btij->bij", weights, ranks[..., :, None] < ranks[..., None, :])
 
 

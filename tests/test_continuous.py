@@ -1,6 +1,7 @@
 """Continuous-state dynamics: aggregation, the discrete embedding, the
 perturbed two-bloc example, orbit iteration and cycle search."""
 
+import math
 import pickle
 
 import numpy as np
@@ -58,11 +59,19 @@ def test_simplex_point_validation():
     assert s[i].shares[j] == 0.75
     with pytest.raises(ValueError):
         dyn.state_from_vectors([(0.5, 0.6), (1.0,), (0.0, 1.0), (1.0,)])
-    # tiny drift is renormalized, clamping handles -0.0-style noise
+    # tiny drift is renormalized, and -0.0 is in [0, 1]
     q = dyn.state_from_vectors([(0.5, 0.5 + 1e-13), (1.0,), (-0.0, 1.0), (1.0,)])
     assert sum(q[0].shares) == 1.0
     with pytest.raises(ValueError):
         dyn.extreme_state({"Z": "c", "Y": "a", "X": "b", "W": "c"})
+
+
+@pytest.mark.parametrize("vector", [(1.5, -0.5), (-1e-300, 1.0), (math.nan, 1.0), (1.0, math.nan)],
+                         ids=["above-one", "below-zero", "nan-first", "nan-last"])
+def test_state_from_vectors_rejects_shares_outside_the_unit_interval(vector):
+    dyn = two_bloc_dynamics()
+    with pytest.raises(ValueError, match=r"'Z': share .* is not in \[0, 1\]"):
+        dyn.state_from_vectors([vector, (1.0,), (0.0, 1.0), (1.0,)])
 
 
 def test_state_builders_reject_unknown_types_and_ballots():

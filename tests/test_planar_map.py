@@ -5,6 +5,7 @@ including states where two or three scores tie exactly."""
 
 import pickle
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +29,9 @@ dyadic_weight = st.integers(1, 64).map(lambda k: k / 4)
 
 @st.composite
 def collaborations(draw):
-    kind = draw(st.sampled_from(["linear", "rational", "callable"]))
-    if kind == "linear":
-        return LinearClamped(draw(st.floats(0.0, 50.0)))
-    if kind == "rational":
-        return RationalDecay(draw(st.floats(0.0, 100.0)))
-    a, b = draw(st.floats(-0.5, 2.0)), draw(st.floats(0.0, 10.0))
-    return lambda t: a - b * t  # leaves [0, 1] on both sides
+    if draw(st.booleans()):
+        return LinearClamped(draw(st.floats(-5.0, 50.0)))  # kappa < 0 leaves [0, 1] above
+    return RationalDecay(draw(st.floats(0.0, 100.0)))
 
 
 @st.composite
@@ -114,3 +111,8 @@ def test_map_pickles_by_its_configuration():
     copy = pickle.loads(pickle.dumps(m))
     assert copy.config == m.config
     assert copy.advance((0.25, 0.75)) == m.advance((0.25, 0.75))
+
+
+def test_a_collaboration_other_than_the_two_is_refused():
+    with pytest.raises(TypeError, match="LinearClamped or RationalDecay"):
+        ReluctanceConfig(collaboration=lambda t: 1.0 - 5.0 * t)

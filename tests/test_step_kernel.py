@@ -4,18 +4,18 @@ same winner and the same shares bit for bit.  Random electorates with
 integer weights and dyadic shares make exact score ties, so the
 tie-break order is exercised; a gate whose threshold is a pairwise margin
 of the start's scores sits exactly on it, where ``>=`` opens; every
-fallback is drawn; and a plain function as the rate covers the path that
-hands it an `Outcome`."""
+fallback is drawn; and a gate of threshold 0, whose closed rate equals its
+open one, stands for a constant rate."""
 
 from dataclasses import replace
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pollsim import (
     CandidateSet,
-    ConstantRate,
     ContinuousDynamics,
     Electorate,
     Fallback,
@@ -103,26 +103,9 @@ def test_perturbed_dynamics_on_dyadic_states(electorate, fallback, p, margin, da
 @given(electorates(), rates, st.data())
 def test_constant_rates_on_dyadic_states(electorate, p, data):
     lift = embed_discrete(electorate)
-    assert lift.rate == ConstantRate(1.0)
-    dyn = data.draw(st.sampled_from([lift, with_rate(lift, ConstantRate(p))]))
+    assert lift.rate == MarginGate(1.0, 0.0, 1.0)
+    dyn = data.draw(st.sampled_from([lift, with_rate(lift, MarginGate(p, 0.0, p))]))
     assert_kernel_matches_reference(dyn, data.draw(dyadic_state(dyn)), data.draw(st.integers(1, 6)))
-
-
-@settings(deadline=None, max_examples=200)
-@given(electorates(), rates, st.data())
-def test_plain_function_rate_gets_the_outcome(electorate, p, data):
-    seen = []
-
-    def rate(out):
-        seen.append(out)
-        return p if out.tally.scores[0] >= out.tally.scores[-1] else 0.0
-
-    dyn = with_rate(embed_discrete(electorate), rate)
-    state = data.draw(dyadic_state(dyn))
-    seen.clear()
-    dyn.step(state)
-    assert seen == [dyn.outcome(state)]
-    assert_kernel_matches_reference(dyn, state, data.draw(st.integers(1, 6)))
 
 
 @settings(deadline=None)
@@ -141,5 +124,11 @@ def test_named_rates_are_the_reference_rate():
         for z in (0.0, 0.3, 0.9, 1.0):
             out = dyn.outcome(view.state(x, z))
             seen.add(dyn.rate(out))
-            assert ConstantRate(0.3)(out) == 0.3
+            assert MarginGate(0.3, 0.0, 0.3)(out) == 0.3
     assert seen == {0.85, 0.425}
+
+
+def test_a_rate_other_than_a_gate_is_refused():
+    lift = embed_discrete(two_bloc_dynamics().electorate)
+    with pytest.raises(TypeError, match="MarginGate"):
+        with_rate(lift, lambda out: 0.5)
