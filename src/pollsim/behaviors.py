@@ -115,27 +115,33 @@ class PlanarReluctanceMap:
     """The (x, z) -> (x', z') map induced by opportunity-driven
     collaboration of types X and Z; maps the unit square into itself.
 
-    `winner`, `step` and `advance(state) -> (winner, next state)` run one
-    closure that `_resolved_map` specializes to the configuration at
-    construction.  `reference_winner` and `reference_step`, built on
-    `scores` and `safety`, are the readable reference; the closure does
-    the same float operations in the same order."""
+    One closure, specialized to the configuration by `_resolved_map` at
+    construction, runs n steps from a state in the unit square:
+    `winners_word` is its n letters, `advance(state) -> (winner, next
+    state)` its run of one step, and `winner` and `step` the halves of
+    `advance`.  `reference_winner` and `reference_step`, built on `scores`
+    and `safety`, are the readable reference; the closure does the same
+    float operations in the same order."""
 
     def __init__(self, config: ReluctanceConfig):
         self.config = config
-        self._advance = _resolved_map(config)
+        self._run = _resolved_map(config)
 
     def __reduce__(self):  # the closure does not pickle; the configuration does
         return PlanarReluctanceMap, (self.config,)
 
     def winner(self, state: tuple[float, float]) -> str:
-        return self._advance(state)[0]
+        return self._run(state, 1)[0]
 
     def step(self, state: tuple[float, float]) -> tuple[float, float]:
-        return self._advance(state)[1]
+        return self._run(state, 1)[1]
 
     def advance(self, state: tuple[float, float]) -> tuple[str, tuple[float, float]]:
-        return self._advance(state)
+        return self._run(state, 1)
+
+    def winners_word(self, start: tuple[float, float], n: int) -> str:
+        """The winners of the first n states of the orbit of ``start``."""
+        return self._run(start, n)[0]
 
     def scores(self, state: tuple[float, float]) -> tuple[float, float, float]:
         x, z = state
@@ -164,9 +170,10 @@ class PlanarReluctanceMap:
 
 
 def _resolved_map(c: ReluctanceConfig):
-    """The map's ``advance`` for one configuration: the reference's
-    scores, safety and clamped collaboration with every configuration
-    branch resolved here, once."""
+    """The map's ``run(state, n) -> (letters, state after n steps)`` for
+    one configuration: the winners of the n states from ``state`` on, by
+    the reference's scores, safety and clamped collaboration with every
+    configuration branch resolved here, once."""
     n_z, n_x, vc = c.n_z, c.n_x, c.n_w
     a0 = c.n_z + c.n_y  # va = (n_z + n_y) + n_x * x, as `scores` adds
     literal = c.b_score_rule is BScoreRule.LITERAL
@@ -177,31 +184,36 @@ def _resolved_map(c: ReluctanceConfig):
     linear = type(c.collaboration) is LinearClamped
     k = c.collaboration.kappa if linear else c.collaboration.lam
 
-    def advance(state):
+    def run(state, n):
         x, z = state
-        va = a0 + n_x * x
-        vb = n_z * z + (x if literal else n_x)
-        if va >= vb:  # ties go to the lower index, as in `reference_winner`
-            w = "a" if va >= vc else "c"
-        else:
-            w = "b" if vb >= vc else "c"
-        if normalized:
-            va, vb = va / total, vb / total
-        d_b, d_a = abs(vb - wc), abs(va - wc)
-        if two_case:
-            s_z = d_b if vb > va else 0.5 * d_b + 0.5 * d_a
-            s_x = d_a if va > vb else 0.5 * d_a + 0.5 * d_b
-        else:
-            s_z, s_x = d_b, d_a
-        if linear:
-            cx, cz = 1.0 - k * s_x, 1.0 - k * s_z
-        else:
-            cx, cz = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
-        # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
-        return w, (cx if 0.0 < cx < 1.0 else 1.0 if cx >= 1.0 else 0.0,
-                   cz if 0.0 < cz < 1.0 else 1.0 if cz >= 1.0 else 0.0)
+        if not (0.0 <= x <= 1.0 and 0.0 <= z <= 1.0):  # also refuses NaN
+            raise ValueError(f"planar state {state} lies outside the unit square")
+        letters = []
+        for _ in range(n):
+            va = a0 + n_x * x
+            vb = n_z * z + (x if literal else n_x)
+            if va >= vb:  # ties go to the lower index, as in `reference_winner`
+                letters.append("a" if va >= vc else "c")
+            else:
+                letters.append("b" if vb >= vc else "c")
+            if normalized:
+                va, vb = va / total, vb / total
+            d_b, d_a = abs(vb - wc), abs(va - wc)
+            if two_case:
+                s_z = d_b if vb > va else 0.5 * d_b + 0.5 * d_a
+                s_x = d_a if va > vb else 0.5 * d_a + 0.5 * d_b
+            else:
+                s_z, s_x = d_b, d_a
+            if linear:
+                x, z = 1.0 - k * s_x, 1.0 - k * s_z
+            else:
+                x, z = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
+            # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
+            x = x if 0.0 < x < 1.0 else 1.0 if x >= 1.0 else 0.0
+            z = z if 0.0 < z < 1.0 else 1.0 if z >= 1.0 else 0.0
+        return "".join(letters), (x, z)
 
-    return advance
+    return run
 
 
 def build_planar_map(config: ReluctanceConfig | None = None) -> PlanarReluctanceMap:

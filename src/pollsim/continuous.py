@@ -49,7 +49,8 @@ ContinuousState = tuple  # tuple[SimplexPoint, ...] aligned with electorate.type
 class SymbolicSource(Protocol):
     """Anything that can be iterated and asked who wins at a state.
     ``advance(state)`` equals ``(winner(state), step(state))`` and
-    evaluates the state's scores once."""
+    evaluates the state's scores once.  `orbit_rows` iterates a source;
+    `winners_word` takes a planar map's letters from its own n-step run."""
 
     def step(self, state): ...
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .behaviors import PlanarReluctanceMap
 from .continuous import orbit_rows
 
 
@@ -34,9 +35,12 @@ class WinnersWord:
 def winners_word(source, start, n: int) -> WinnersWord:
     """First ``n`` winners along the orbit of ``start`` under ``source``
     (anything `orbit_rows` iterates: ``step``, ``winner`` and
-    ``advance``): the winners of ``n - 1`` steps."""
+    ``advance``): the winners of ``n - 1`` steps.  A planar map runs
+    them in its own n-step loop (`PlanarReluctanceMap.winners_word`)."""
     if n < 1:
         raise ValueError("need at least one letter")
+    if isinstance(source, PlanarReluctanceMap):
+        return WinnersWord(source.winners_word(start, n))
     letters = [w for _, _, w in orbit_rows(source, start, n - 1)]
     if any(len(w) != 1 for w in letters):
         raise ValueError("winners words need single-character candidate names")

@@ -10,14 +10,28 @@ the `analyze --strong` ones before the poll graph kept only its
 pair-index arrays and the Condorcet report was derived from one majority
 relation.  The `ks_profile` digests (the entropies' `float.hex` and the
 distinct-factor counts) were taken before the profile came from one sort
-of packed window codes."""
+of packed window codes.  The planar words under the literal/raw, rational
+and simple-margin configurations and the reluctance entropy output were
+taken before a planar word came from one n-step loop of the map."""
 
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from pollsim import ReluctanceConfig, build_planar_map, build_tent_model, ks_profile, winners_word
+from pollsim import (
+    BScoreRule,
+    LinearClamped,
+    Normalization,
+    RationalDecay,
+    ReluctanceConfig,
+    SafetyFunction,
+    SafetyKind,
+    build_planar_map,
+    build_tent_model,
+    ks_profile,
+    winners_word,
+)
 from pollsim.cli import main
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
@@ -116,6 +130,34 @@ def test_planar_winners_word_digest():
     assert len(word) == 2**14
     assert _digest(word.encode()) == "2d007f3cc8b9068b919dbe910b3637b0f0d86086a88c3f7910dc18a88df30b82"
     assert _profile_digest(ks_profile(word)) == "41d8ca40541d7f2de3bf9a87db189a6b10ec9ad1d37ad9d6c088ed076a685af6"
+
+
+PLANAR_WORDS = {  # 2^14 letters from (0.3, 0.7)
+    "literal-raw": (ReluctanceConfig(0.56, 0.08, 0.6, 0.81,
+                                     safety_fn=SafetyFunction(SafetyKind.TWO_CASE, Normalization.RAW),
+                                     collaboration=LinearClamped(2.0), b_score_rule=BScoreRule.LITERAL),
+                    "dc518623b801ca7333d50949a817309099c969564a3a01288b32f01c4482f805"),
+    "rational": (ReluctanceConfig(collaboration=RationalDecay()),
+                 "5bf077c39adafa3628f4c720d3a9032fa14630a6ba38f7eea1b6df5436370738"),
+    "simple-margin": (ReluctanceConfig(safety_fn=SafetyFunction(SafetyKind.SIMPLE_MARGIN)),
+                      "6da890b9605eeb5c1543fdb9f066eeea48c88f793d67205f554abd99a53594f0"),
+}
+
+
+@pytest.mark.parametrize("name", PLANAR_WORDS)
+def test_planar_winners_word_digest_per_configuration(name):
+    config, digest = PLANAR_WORDS[name]
+    word = winners_word(build_planar_map(config), (0.3, 0.7), 2**14).letters
+    assert _digest(word.encode()) == digest
+
+
+def test_entropy_reluctance_digest(capsys, tmp_path):
+    # the summary line and the profile CSV of a planar winners word
+    out = tmp_path / "profile.csv"
+    assert main(["entropy", "--model", "reluctance", "--steps", "65536", "--lmax", "12", "--fit", "4:10",
+                 "--start", "0.3,0.7", "--out", str(out)]) == 0
+    text = capsys.readouterr().out + out.read_text()
+    assert _digest(text.encode()) == "ce2ff9cc5eb7f22adbb7878f7c5e66f4028fdbcf6655f0a8421b298e39d73c20"
 
 
 def test_tent_profile_digest():

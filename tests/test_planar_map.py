@@ -1,7 +1,8 @@
-"""The planar map's configuration-specialized `winner`, `step` and
-`advance` against `reference_winner` and `reference_step`, built on
-`scores` and `safety`, bit for bit, on random configurations and states,
-including states where two or three scores tie exactly."""
+"""The planar map's configuration-specialized n-step run, and the
+`winner`, `step`, `advance` and winners words that run it, against
+`reference_winner` and `reference_step`, built on `scores` and `safety`,
+bit for bit, on random configurations and states, including states where
+two or three scores tie exactly."""
 
 import pickle
 
@@ -18,8 +19,9 @@ from pollsim import (
     SafetyFunction,
     SafetyKind,
     build_planar_map,
+    winners_word,
 )
-from pollsim.behaviors import PlanarReluctanceMap
+from pollsim.behaviors import PlanarReluctanceMap, _resolved_map
 
 weights = st.floats(0.01, 20.0)
 unit = st.floats(0.0, 1.0)
@@ -77,6 +79,8 @@ def check(config, state):
     m = build_planar_map(config)
     want_w = m.reference_winner(state)
     want = bits(m.reference_step(state))
+    w, nxt = _resolved_map(config)(state, 1)
+    assert (w, bits(nxt)) == (want_w, want)
     assert m.winner(state) == want_w
     assert bits(m.step(state)) == want
     w, nxt = m.advance(state)
@@ -96,14 +100,27 @@ def test_resolved_map_equals_reference_at_exact_ties(case):
 
 
 @settings(deadline=None)
-@given(random_cases(), st.integers(1, 50))
+@given(st.one_of(random_cases(), tied_cases()), st.integers(1, 200))
 def test_resolved_orbit_equals_reference_orbit(case, n):
-    config, state = case
+    config, start = case
     m = build_planar_map(config)
-    ref = state
+    state, ref, letters = start, start, []
     for _ in range(n):
+        letters.append(m.reference_winner(ref))
         state, ref = m.step(state), m.reference_step(ref)
         assert bits(state) == bits(ref)
+    word, end = _resolved_map(config)(start, n)
+    assert (word, bits(end)) == ("".join(letters), bits(ref))
+    assert m.winners_word(start, n) == winners_word(m, start, n).letters == word
+
+
+@pytest.mark.parametrize("start", [(float("nan"), 0.5), (1.5, -3.0), (0.5, float("inf"))])
+def test_a_start_outside_the_unit_square_is_refused(start):
+    m = build_planar_map()
+    with pytest.raises(ValueError, match="outside the unit square"):
+        m.advance(start)
+    with pytest.raises(ValueError, match="outside the unit square"):
+        winners_word(m, start, 10)
 
 
 def test_map_pickles_by_its_configuration():
