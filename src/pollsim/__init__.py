@@ -72,7 +72,6 @@ from .wordstats import (
     detect_eventual_period,
     ks_entropy_estimate,
     ks_profile,
-    shannon_entropy,
     subword_census,
     winners_word,
 )

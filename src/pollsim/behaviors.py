@@ -18,7 +18,8 @@ attractors, so nothing is silently privileged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -99,12 +100,13 @@ class ReluctanceConfig:
     b_score_rule: BScoreRule = BScoreRule.DERIVED
 
     def __post_init__(self) -> None:
-        for w in (self.n_z, self.n_y, self.n_x, self.n_w):
-            if w <= 0:
-                raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in (self.n_z, self.n_y, self.n_x, self.n_w)):
+            raise ValueError("weights must be finite and positive")
         if type(self.collaboration) not in (LinearClamped, RationalDecay):
             raise TypeError(f"collaboration must be LinearClamped or RationalDecay, "
                             f"got {type(self.collaboration).__name__}")
+        if not all(map(math.isfinite, astuple(self.collaboration))):
+            raise ValueError(f"collaboration steepness must be finite, got {self.collaboration}")
 
     @property
     def total_weight(self) -> float:

@@ -125,16 +125,16 @@ def _orbit_start(args):
         model = behaviors.build_tent_model()
         try:
             z = Fraction(args.start) if args.start else model.default_start(args.seed)
-        except ZeroDivisionError:
-            raise ValueError(f"--start {args.start} has a zero denominator") from None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--start {args.start} is not a rational number like 2/5") from None
         if not 0 <= z <= 1:
             raise ValueError("--start must lie in [0, 1]")
         return model, z, lambda z: (float(z),)
     source, state, coords = _planar_source(args)
-    parts = args.start.split(",") if args.start else ["0.5", "0.5"]
-    if len(parts) != 2:
-        raise ValueError("--start must be x,z")
-    x, z = float(parts[0]), float(parts[1])
+    try:
+        x, z = (float(c) for c in args.start.split(",")) if args.start else (0.5, 0.5)
+    except ValueError:
+        raise ValueError(f"--start {args.start} is not two numbers x,z") from None
     if not (0 <= x <= 1 and 0 <= z <= 1):
         raise ValueError("--start x,z must lie in the unit square")
     return source, state(x, z), coords
@@ -203,6 +203,14 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _weights(text: str) -> tuple[float, float, float, float]:
+    try:
+        nz, ny, nx, nw = (float(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not four numbers nZ,nY,nX,nW") from None
+    return nz, ny, nx, nw
+
+
 def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> None:
     models = ["thm4", "twobloc", "section7", "reluctance"] + (["tent"] if with_tent else [])
     sub.add_argument("--model", choices=models, required=True)
@@ -216,8 +224,8 @@ def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> N
     sub.add_argument("--kappa", type=float, default=5.0, help="linear collaboration steepness")
     sub.add_argument("--collab", choices=["linear", "rational"], default="linear")
     sub.add_argument("--lam", type=float, default=45.0, help="rational collaboration steepness")
-    sub.add_argument("--weights", type=lambda s: tuple(float(x) for x in s.split(",")),
-                     default=(3.0, 1.0, 3.0, 5.0), help="reluctance weights nZ,nY,nX,nW")
+    sub.add_argument("--weights", type=_weights, default=(3.0, 1.0, 3.0, 5.0),
+                     help="reluctance weights nZ,nY,nX,nW")
     sub.add_argument("--start", default=None, help="x,z in the unit square (planar) or a rational in [0, 1] like 2/5 (tent)")
     sub.add_argument("--seed", type=int, default=0)
 

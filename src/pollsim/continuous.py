@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,30 +46,19 @@ class SimplexPoint:
 ContinuousState = tuple  # tuple[SimplexPoint, ...] aligned with electorate.types
 
 
-class SymbolicSource(Protocol):
-    """Anything that can be iterated and asked who wins at a state.
-    ``advance(state)`` equals ``(winner(state), step(state))`` and
-    evaluates the state's scores once.  `orbit_rows` iterates a source;
-    `winners_word` takes a planar map's letters from its own n-step run."""
-
-    def step(self, state): ...
-
-    def winner(self, state) -> str: ...
-
-    def advance(self, state) -> tuple[str, object]: ...
-
-
 def orbit_rows(
-    source: SymbolicSource,
+    source,
     start,
     n_steps: int,
     keep_every: int = 1,
     discard: int = 0,
 ) -> Iterator[tuple[int, object, str]]:
     """Yield (step, state, winner) for every ``keep_every``-th state of the
-    orbit of ``start`` after a transient of ``discard`` steps, up to step
-    ``discard + n_steps``.  A kept state's winner comes with its step from
-    one ``advance`` call; no step is taken past the last state yielded."""
+    orbit of ``start`` under ``source`` after a transient of ``discard``
+    steps, up to step ``discard + n_steps``.  ``source.advance(state)``
+    equals ``(source.winner(state), source.step(state))`` from one
+    evaluation; a kept state's winner comes with its step from one
+    ``advance`` call, and no step is taken past the last state yielded."""
     if n_steps < 0 or discard < 0:
         raise ValueError("n_steps and discard must be non-negative")
     if keep_every < 1:

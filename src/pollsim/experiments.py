@@ -12,7 +12,7 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -24,17 +24,17 @@ from .majority import condorcet_analysis, duel_matrix, duel_tensor
 Z95 = 1.959964
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     phat = successes / n
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1 + z2 / n
     center = (phat + z2 / (2 * n)) / denom
-    half = (z / denom) * sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
+    half = (Z95 / denom) * sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -44,7 +44,7 @@ class ConditionResult:
     n_trials: int
     n_condorcet: int
     n_bad: int
-    runtime_s: float
+    runtime_s: float = field(compare=False)
 
     @property
     def cw_rate(self) -> float:
@@ -56,13 +56,13 @@ class ConditionResult:
             return None
         return self.n_bad / self.n_condorcet
 
-    def cw_interval(self, z: float = Z95) -> tuple[float, float]:
-        return wilson_interval(self.n_condorcet, self.n_trials, z)
+    def cw_interval(self) -> tuple[float, float]:
+        return wilson_interval(self.n_condorcet, self.n_trials)
 
-    def bad_interval(self, z: float = Z95) -> tuple[float, float] | None:
+    def bad_interval(self) -> tuple[float, float] | None:
         if self.n_condorcet == 0:
             return None
-        return wilson_interval(self.n_bad, self.n_condorcet, z)
+        return wilson_interval(self.n_bad, self.n_condorcet)
 
 
 def trial_outcome(spec: CultureSpec, trial_index: int) -> tuple[bool, bool]:

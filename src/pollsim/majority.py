@@ -36,7 +36,6 @@ def duel_tensor(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CondorcetReport:
-    candidates: tuple[Candidate, ...]
     domination: dict
     condorcet_winner: Candidate | None
     condorcet_loser: Candidate | None
@@ -99,7 +98,6 @@ def condorcet_analysis(
     order = tuple(names[i] for i in order_idx) if chain else None
 
     return CondorcetReport(
-        candidates=names,
         domination=domination,
         condorcet_winner=winner,
         condorcet_loser=loser,

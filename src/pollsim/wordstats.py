@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -110,35 +109,19 @@ class Census:
     distinct: int
     windows: int
 
-    def proportions(self) -> dict:
-        return {w: c / self.windows for w, c in self.counts.items()}
-
 
 def subword_census(text: str, block: int, n: int | None = None) -> Census:
     """Occurrence counts of every length-``block`` factor of the first
-    ``n`` letters."""
+    ``n`` letters, 1 <= ``n`` <= ``len(text)``."""
     n = len(text) if n is None else n
+    if not 1 <= n <= len(text):
+        raise ValueError("need 1 <= n <= len(text)")
     text = text[:n]
     for codes in _window_codes(text, n, block, "block"):
         pass  # keep the codes of the length-``block`` windows
     values, first, counts = np.unique(codes, return_index=True, return_counts=True)
     decoded = {text[i:i + block]: c for i, c in zip(first.tolist(), counts.tolist())}
     return Census(decoded, len(values), n - block + 1)
-
-
-def shannon_entropy(probs: Sequence[float]) -> float:
-    """Entropy (nats) of a probability vector, with 0 log 0 = 0."""
-    total = 0.0
-    acc = 0.0
-    for p in probs:
-        if p < 0:
-            raise ValueError("negative probability")
-        total += p
-        if p > 0:
-            acc -= p * math.log(p)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return acc
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:

@@ -156,9 +156,25 @@ SMALL_ENTROPY = ["--steps", "100", "--lmax", "6", "--fit", "2:5"]
     ("cpd-orbit", "reluctance", "nan,0.5"),
     ("cpd-orbit", "twobloc", "0.5,1.5"),
     ("entropy", "reluctance", "2,-1"),
+    ("cpd-orbit", "tent", "abc"),
+    ("cpd-orbit", "reluctance", "x,0.5"),
+    ("cpd-orbit", "reluctance", "0.5"),
 ])
 def test_start_outside_the_model_exits_2(capsys, command, model, start):
     # tent starts lie in [0, 1]; planar x and z are shares
     steps = ["--steps", "4"] if command == "cpd-orbit" else SMALL_ENTROPY
     code, out, err = run(capsys, command, "--model", model, f"--start={start}", *steps)
     assert code == 2 and out == "" and "--start" in err
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--weights", "3,1,3"], "--weights"),
+    (["--weights", "3,1,3,x"], "--weights"),
+    (["--weights", "nan,1,3,5"], "weights"),
+    (["--weights", "inf,1,3,5"], "weights"),
+    (["--kappa", "nan"], "steepness"),
+    (["--collab", "rational", "--lam", "inf"], "steepness"),
+])
+def test_bad_reluctance_parameters_exit_2(capsys, flags, name):
+    code, out, err = run(capsys, "cpd-orbit", "--model", "reluctance", *flags, "--steps", "3")
+    assert code == 2 and out == "" and name in err

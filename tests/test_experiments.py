@@ -39,8 +39,10 @@ def test_run_condition_counts():
 def test_parallel_matches_serial():
     spec = _spec(seed=5)
     r1 = run_condition(spec, 400, n_jobs=1)
-    r2 = run_condition(spec, 400, n_jobs=4)
-    assert (r1.n_condorcet, r1.n_bad) == (r2.n_condorcet, r2.n_bad)
+    # worker seconds differ from run to run and stay out of equality
+    assert run_condition(spec, 400, n_jobs=1) == r1
+    assert run_condition(spec, 400, n_jobs=2) == r1
+    assert run_condition(spec, 400, n_jobs=4) == r1
 
 
 def test_trial_prefix_stability():
@@ -90,7 +92,7 @@ def test_run_table_opens_one_pool(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     pooled = run_table(specs, 200, n_jobs=2)
     assert CountingPool.opened == 1
-    assert [(r.n_condorcet, r.n_bad) for r in pooled] == [(r.n_condorcet, r.n_bad) for r in serial]
+    assert pooled == serial
     assert all(r.runtime_s > 0 for r in pooled)
     run_condition(specs[0], 200, n_jobs=2)
     assert CountingPool.opened == 2

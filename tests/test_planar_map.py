@@ -133,3 +133,17 @@ def test_map_pickles_by_its_configuration():
 def test_a_collaboration_other_than_the_two_is_refused():
     with pytest.raises(TypeError, match="LinearClamped or RationalDecay"):
         ReluctanceConfig(collaboration=lambda t: 1.0 - 5.0 * t)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_z": float("nan")},
+    {"n_x": float("inf")},
+    {"n_w": 0.0},
+    {"n_y": -1.0},
+    {"collaboration": LinearClamped(float("nan"))},
+    {"collaboration": LinearClamped(float("-inf"))},
+    {"collaboration": RationalDecay(float("inf"))},
+])
+def test_a_non_finite_or_non_positive_parameter_is_refused(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        ReluctanceConfig(**kwargs)

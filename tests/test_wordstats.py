@@ -15,7 +15,6 @@ from pollsim import (
     detect_eventual_period,
     ks_entropy_estimate,
     ks_profile,
-    shannon_entropy,
     subword_census,
     winners_word,
 )
@@ -30,26 +29,6 @@ def coin_word(n, seed=0):
     return "".join("ab"[b] for b in rng.integers(0, 2, size=n))
 
 
-def test_shannon_entropy_basics():
-    assert shannon_entropy([1.0]) == 0.0
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2))
-    assert shannon_entropy([0.25] * 4) == pytest.approx(math.log(4))
-    assert shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(math.log(2))  # zero-padding
-    with pytest.raises(ValueError):
-        shannon_entropy([0.5, 0.6])
-    with pytest.raises(ValueError):
-        shannon_entropy([-0.1, 1.1])
-
-
-def test_shannon_entropy_uniform_maximum():
-    rng = np.random.default_rng(1)
-    for k in (2, 3, 6):
-        for _ in range(50):
-            p = rng.random(k)
-            p /= p.sum()
-            assert shannon_entropy(p) <= math.log(k) + 1e-12
-
-
 def test_subword_census_basics():
     c = subword_census("aaaa", 2)
     assert c.counts == {"aa": 3} and c.distinct == 1 and c.windows == 3
@@ -62,9 +41,11 @@ def test_subword_census_basics():
         subword_census("abc", 0)
 
 
-def test_subword_census_proportions():
-    c = subword_census("abab", 1)
-    assert c.proportions() == {"a": 0.5, "b": 0.5}
+def test_subword_census_n_must_fit_the_word():
+    assert subword_census("abab", 2, n=4).windows == 3
+    for n in (0, 5, 10):
+        with pytest.raises(ValueError, match="n <= len"):
+            subword_census("abab", 2, n=n)
 
 
 def test_periodic_block_has_22_factors_from_length_10():
