@@ -107,6 +107,8 @@ class ReluctanceConfig:
                             f"got {type(self.collaboration).__name__}")
         if not all(map(math.isfinite, astuple(self.collaboration))):
             raise ValueError(f"collaboration steepness must be finite, got {self.collaboration}")
+        if isinstance(self.collaboration, RationalDecay) and self.collaboration.lam < 0:
+            raise ValueError(f"collaboration steepness lam must be non-negative, got {self.collaboration.lam}")
 
     @property
     def total_weight(self) -> float:

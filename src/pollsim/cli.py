@@ -20,12 +20,9 @@ from .cultures import CultureKind, CultureSpec
 from .dynamics import build_polling_graph, classify
 from .electorate_io import ParseError, export_dot, format_analysis, parse_electorate
 from .experiments import run_condition, table_csv
-from .majority import condorcet_analysis, duel_matrix
+from .majority import condorcet_analysis
 from .strategies import Strategy
 from .wordstats import detect_eventual_period, ks_entropy_estimate, ks_profile, winners_word
-
-# thm4/section7 are accepted as legacy aliases of the descriptive model names
-PLANAR_MODELS = {"thm4": "twobloc", "twobloc": "twobloc", "section7": "reluctance", "reluctance": "reluctance"}
 
 
 def _default_jobs() -> int:
@@ -52,9 +49,8 @@ def _analysis(path: str, strong: bool = False):
     """Condorcet report, poll graph and its classification of an
     electorate file."""
     electorate = _load_electorate(path)
-    duel = duel_matrix(electorate)
-    report = condorcet_analysis(electorate, strong=strong, duel=duel)
-    graph = build_polling_graph(electorate, report=report, duel=duel)
+    report = condorcet_analysis(electorate, strong=strong)
+    graph = build_polling_graph(electorate, report=report)
     return report, graph, classify(graph, report)
 
 
@@ -73,6 +69,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     kind = CultureKind.IMPARTIAL if args.culture == "impartial" else CultureKind.SPATIAL
     strategy = Strategy.LEADER_RULE if args.strategy == "lr" else Strategy.MODIFIED_LEADER_RULE
     spec = CultureSpec(
@@ -97,7 +95,7 @@ def _cmd_mc(args) -> int:
 def _planar_source(args):
     """The requested planar model as (source, state at (x, z), (x, z) of a
     state)."""
-    if PLANAR_MODELS[args.model] == "twobloc":
+    if args.model == "twobloc":
         dyn = presets.two_bloc_dynamics(p=args.p, margin=args.theta, fallback=Fallback(args.fallback))
         view = presets.two_bloc_view(dyn)
         return dyn, view.state, view.coords
@@ -212,7 +210,7 @@ def _weights(text: str) -> tuple[float, float, float, float]:
 
 
 def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> None:
-    models = ["thm4", "twobloc", "section7", "reluctance"] + (["tent"] if with_tent else [])
+    models = ["twobloc", "reluctance"] + (["tent"] if with_tent else [])
     sub.add_argument("--model", choices=models, required=True)
     sub.add_argument("--p", type=float, default=0.85, help="adjusting fraction (twobloc)")
     sub.add_argument("--theta", type=float, default=0.04, help="margin threshold (twobloc)")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .majority import CondorcetReport, condorcet_analysis, duel_matrix
+from .majority import CondorcetReport, duel_matrix
 from .model import Candidate, Electorate, Outcome, Tally, outcome_from_tally, tally
 from .strategies import Strategy, ballot_for
 
@@ -62,8 +62,9 @@ class PollingGraph:
     candidate indices w and r): ``succ[i]`` is the successor pair index of
     i, ``label[i]`` the index of the cycle that i reaches (-1 on the
     diagonal, where ``succ`` carries no state), and ``cycle_ids[k]`` lists
-    the pair indices of cycle k in orbit order.  ``score_array[w, r]`` is
-    the score vector observed from (w, r), exposed through ``tally_at``.
+    the pair indices of cycle k in orbit order.  ``duel`` is the
+    `duel_matrix` they come from; ``tally_at`` reads the closed form from
+    it.
 
     ``states``, ``successor``, ``cycles``, ``cycle_index`` and ``basin`` are
     `PollState` views built on first use; ``basin[k]`` is the set of states
@@ -74,8 +75,7 @@ class PollingGraph:
     succ: list[int]
     label: list[int]
     cycle_ids: list[list[int]]
-    score_array: np.ndarray = field(compare=False)  # a function of `electorate`
-    condorcet_winner: Candidate | None
+    duel: np.ndarray = field(compare=False, repr=False)  # a function of `electorate`
 
     @cached_property
     def _state_of(self) -> list[PollState | None]:
@@ -111,17 +111,19 @@ class PollingGraph:
         return self.successor[state] == state
 
     def tally_at(self, state: PollState) -> Tally:
-        """Scores of the election triggered by expecting ``state``."""
-        i = self.electorate.candidates.index(state.winner)
-        j = self.electorate.candidates.index(state.runner_up)
-        return Tally(self.electorate.candidates, tuple(float(x) for x in self.score_array[i, j]))
+        """Scores of the election triggered by expecting ``state``: column
+        w of D, with D[w, r] in place of entry w."""
+        w = self.electorate.candidates.index(state.winner)
+        r = self.electorate.candidates.index(state.runner_up)
+        scores = self.duel[:, w].tolist()
+        scores[w] = float(self.duel[w, r])
+        return Tally(self.electorate.candidates, tuple(scores))
 
 
-def _successors_and_scores(d: np.ndarray):
+def _successors(d: np.ndarray):
     """Vectorized transition tables of a stack of duel matrices, shape
-    (B, n, n): returns (w1, w2, score_array), where w1[b, w, r] and
-    w2[b, w, r] are the winner and runner-up elected from state (w, r) of
-    electorate b and score_array[b, w, r] is the tally seen from it.  The
+    (B, n, n): returns (w1, w2), where w1[b, w, r] and w2[b, w, r] are the
+    winner and runner-up elected from state (w, r) of electorate b.  The
     Monte Carlo kernel passes a slice of at most `experiments._SLICE`
     trials and `build_polling_graph` a stack of one, so the table has this
     one implementation."""
@@ -131,16 +133,13 @@ def _successors_and_scores(d: np.ndarray):
     scores[:, idx, :, idx] = d.transpose(1, 0, 2)  # score(w) = D[w, r]
     w1 = scores.argmax(axis=3)  # argmax takes the first maximum: the tie-break order
     w2 = np.where(idx == w1[..., None], -np.inf, scores).argmax(axis=3)
-    return w1, w2, scores
+    return w1, w2
 
 
-def build_polling_graph(
-    electorate: Electorate,
-    report: CondorcetReport | None = None,
-    duel: np.ndarray | None = None,
-) -> PollingGraph:
-    """Build the full transition graph; a precomputed Condorcet report
-    and/or duel matrix can be supplied to avoid recomputation."""
+def build_polling_graph(electorate: Electorate, report: CondorcetReport | None = None) -> PollingGraph:
+    """Build the full transition graph from the electorate's duel matrix:
+    the ``duel`` of ``report``, a Condorcet report of this electorate, or
+    computed here when no report is given."""
     n = len(electorate.candidates)
     if n < 2:
         raise ValueError("need at least two candidates")
@@ -148,9 +147,8 @@ def build_polling_graph(
         if t.strategy is Strategy.LEADER_RULE and not t.preference.tie_free:
             raise ValueError(f"type {t.name!r} uses the leader rule but has a tied preference")
 
-    if duel is None:
-        duel = duel_matrix(electorate)
-    w1, w2, score_arr = _successors_and_scores(duel[None])
+    duel = duel_matrix(electorate) if report is None else report.duel
+    w1, w2 = _successors(duel[None])
     succ = (w1[0] * n + w2[0]).ravel().tolist()
 
     # Functional-graph decomposition: walk each unresolved state until a
@@ -176,16 +174,7 @@ def build_polling_graph(
         for t in path:
             label[t] = target
 
-    if report is None:
-        report = condorcet_analysis(electorate, duel=duel)
-    return PollingGraph(
-        electorate=electorate,
-        succ=succ,
-        label=label,
-        cycle_ids=cycle_ids,
-        score_array=score_arr[0],
-        condorcet_winner=report.condorcet_winner,
-    )
+    return PollingGraph(electorate=electorate, succ=succ, label=label, cycle_ids=cycle_ids, duel=duel)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from .cultures import CultureKind, CultureSpec, sample_electorate, sample_ranks
-from .dynamics import _successors_and_scores, build_polling_graph, classify
+from .dynamics import _successors, build_polling_graph, classify
 from .majority import condorcet_analysis, duel_matrix, duel_tensor
 
 Z95 = 1.959964
@@ -72,7 +72,7 @@ def trial_outcome(spec: CultureSpec, trial_index: int) -> tuple[bool, bool]:
     report = condorcet_analysis(electorate, duel=duel)
     if report.condorcet_winner is None:
         return False, False
-    graph = build_polling_graph(electorate, report=report, duel=duel)
+    graph = build_polling_graph(electorate, report=report)
     dyn = classify(graph, report)
     return True, bool(dyn.is_bad)
 
@@ -103,7 +103,7 @@ def _count_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int]:
         top = (d > d.transpose(0, 2, 1)).sum(axis=2) == n - 1
         has_cw = top.any(axis=1)
         cw = top[has_cw].argmax(axis=1)
-        w1, w2, _ = _successors_and_scores(d[has_cw])
+        w1, w2 = _successors(d[has_cw])
         f = (w1 * n + w2).reshape(len(cw), n * n)
         for _ in range((n * n - 1).bit_length()):
             f = np.take_along_axis(f, f, axis=1)

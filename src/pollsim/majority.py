@@ -4,7 +4,7 @@ and order, consensual loser, and the one-dimensional median construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,6 +41,7 @@ class CondorcetReport:
     condorcet_loser: Candidate | None
     consensual_loser: Candidate | None
     condorcet_order: tuple[Candidate, ...] | None
+    duel: np.ndarray = field(compare=False, repr=False)  # the `duel_matrix` every field derives from
     strong: bool = False
 
 
@@ -57,8 +58,9 @@ def condorcet_analysis(
     denominator); the two definitions coincide on tie-free preferences.
     The winner beats every other candidate and the loser is beaten by
     every other one; the Condorcet order sorts the candidates by how many
-    they beat and exists when each one beats all that follow it.  A
-    precomputed `duel_matrix` can be passed to avoid recomputing it.
+    they beat and exists when each one beats all that follow it.  The
+    report keeps D as ``duel``; a precomputed `duel_matrix` can be passed
+    to avoid recomputing it.
     """
     names = electorate.candidates.names
     n = len(names)
@@ -103,6 +105,7 @@ def condorcet_analysis(
         condorcet_loser=loser,
         consensual_loser=consensual,
         condorcet_order=order,
+        duel=d,
         strong=strong,
     )
 

@@ -402,6 +402,56 @@ def test_criterion_07_perturbed_two_cycle():
             f"contraction <= 0.0225, 2-cycle winners (a, c), {elapsed:.2f} s ({budget} the 1 s budget)")
 
 
+def test_criterion_07_regions_proved_exactly():
+    """Criterion 07's inclusions for the whole regions, in exact arithmetic.
+
+    On the closures of A1 and A2 every adjacent score margin is at least
+    1/2, above the gate threshold 0.04 * 12 = 0.48, so the step there is
+    s -> q s + p t with t the targets of the outcome.  Margins and images
+    are affine in (x, z) and both regions are convex, so checking the
+    closures' vertices proves A1 -> A2 and A2 -> A1 everywhere."""
+    dyn = two_bloc_dynamics()
+    assert (dyn.rate.p, dyn.rate.threshold) == (0.85, 0.04 * 12)
+    p = Fraction(17, 20)
+    q = 1 - p
+    assert q * q == Fraction(9, 400)  # the second-iterate contraction factor 0.0225
+    (ix, jx), (iz, jz) = dyn.slot("X", "ab"), dyn.slot("Z", "ab")
+    sixth = Fraction(1, 6)
+
+    def scores(x, z):
+        shares = {ix: {jx: x, 1 - jx: 1 - x}, iz: {jz: z, 1 - jz: 1 - z}}
+        v = dict.fromkeys("abc", Fraction(0))
+        for i, (t, ballots) in enumerate(zip(dyn.electorate.types, dyn.admissible)):
+            for j, ballot in enumerate(ballots):
+                for c in ballot:
+                    v[c] += Fraction(t.weight) * shares.get(i, {0: 1})[j]
+        assert v == {"a": 4 + 3 * x, "b": 3 + 3 * z, "c": 5}
+        return v
+
+    def in_a1(x, z):
+        return 5 * sixth < z <= 1 and z < x + sixth and x <= 1
+
+    def in_a2(x, z):
+        return 0 <= x < sixth and 0 <= z < x + sixth
+
+    def image(x, z, outcome):
+        slots = dyn.targets[outcome]
+        return q * x + p * (slots[ix] == jx), q * z + p * (slots[iz] == jz)
+
+    regions = [  # closure vertices, ranking, the other region
+        ([(4 * sixth, 5 * sixth), (1, 5 * sixth), (1, 1), (5 * sixth, 1)], "abc", in_a2),
+        ([(0, 0), (sixth, 0), (sixth, 2 * sixth), (0, sixth)], "cab", in_a1),
+    ]
+    for vertices, ranking, target_region in regions:
+        for x, z in vertices:
+            x, z = Fraction(x), Fraction(z)
+            v = scores(x, z)
+            assert "".join(sorted(v, key=v.get, reverse=True)) == ranking
+            margins = [v[s] - v[t] for s, t in zip(ranking, ranking[1:])]
+            assert min(margins) >= Fraction(1, 2) > Fraction(dyn.rate.threshold)
+            assert target_region(*image(x, z, tuple(ranking[:2])))
+
+
 def test_criterion_08a_periodic_attractor(chaos_data):
     problems = []
     detections = {}

@@ -91,15 +91,20 @@ def test_orbit_tent_exact(capsys, tmp_path):
     assert winners == list("cbcbcbc")
 
 
-def test_orbit_twobloc_alias_names(capsys, tmp_path):
-    for model in ("thm4", "twobloc"):
-        out = tmp_path / f"{model}.csv"
-        code, _, _ = run(capsys, "cpd-orbit", "--model", model, "--start", "0.99,0.99",
-                         "--steps", "4", "--out", str(out))
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "step,x,z,winner"
-        assert [r.split(",")[-1] for r in lines[1:]] == list("acaca")
+def test_orbit_twobloc(capsys, tmp_path):
+    out = tmp_path / "twobloc.csv"
+    code, _, _ = run(capsys, "cpd-orbit", "--model", "twobloc", "--start", "0.99,0.99",
+                     "--steps", "4", "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "step,x,z,winner"
+    assert [r.split(",")[-1] for r in lines[1:]] == list("acaca")
+
+
+@pytest.mark.parametrize("model", ["thm4", "section7"])
+def test_retired_model_aliases_exit_2(capsys, model):
+    code, out, err = run(capsys, "cpd-orbit", "--model", model, "--steps", "4")
+    assert code == 2 and out == "" and "--model" in err
 
 
 def test_entropy_command_tent_small(capsys):
@@ -113,7 +118,7 @@ def test_entropy_command_tent_small(capsys):
 
 def test_entropy_command_periodic_weights(capsys, tmp_path):
     csv = tmp_path / "profile.csv"
-    code, out, _ = run(capsys, "entropy", "--model", "section7",
+    code, out, _ = run(capsys, "entropy", "--model", "reluctance",
                        "--weights", "0.56,0.08,0.6,0.81", "--steps", "40000",
                        "--lmax", "14", "--fit", "4:12", "--out", str(csv))
     assert code == 0
@@ -125,7 +130,7 @@ def test_entropy_command_periodic_weights(capsys, tmp_path):
 
 def test_grid_command(capsys, tmp_path):
     out = tmp_path / "grid.csv"
-    code, _, _ = run(capsys, "grid", "--model", "section7", "--res", "5",
+    code, _, _ = run(capsys, "grid", "--model", "reluctance", "--res", "5",
                      "--iters", "2", "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
@@ -174,7 +179,15 @@ def test_start_outside_the_model_exits_2(capsys, command, model, start):
     (["--weights", "inf,1,3,5"], "weights"),
     (["--kappa", "nan"], "steepness"),
     (["--collab", "rational", "--lam", "inf"], "steepness"),
+    (["--collab", "rational", "--lam=-1"], "lam"),
 ])
 def test_bad_reluctance_parameters_exit_2(capsys, flags, name):
     code, out, err = run(capsys, "cpd-orbit", "--model", "reluctance", *flags, "--steps", "3")
     assert code == 2 and out == "" and name in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_mc_jobs_below_one_exits_2(capsys, jobs):
+    code, out, err = run(capsys, "mc", "--culture", "impartial", "--strategy", "lr", "--candidates", "3",
+                         "--types", "4", "--trials", "10", f"--jobs={jobs}")
+    assert code == 2 and out == "" and "--jobs" in err

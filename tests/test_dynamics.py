@@ -64,7 +64,7 @@ def test_cycle_electorate_graph(cycle_electorate):
     k_cycle = next(k for k, c in enumerate(g.cycles) if len(c) == 3)
     assert len(g.basin[k_cycle]) == 9
     assert len(g.basin[1 - k_cycle]) == 3
-    assert g.condorcet_winner == "a"
+    assert condorcet_analysis(cycle_electorate).condorcet_winner == "a"
 
 
 def test_cycle_electorate_full_transition_table(cycle_electorate):
@@ -139,7 +139,7 @@ def test_graph_determinism(cycle_electorate):
 
 
 def test_graph_equality(cycle_electorate, loser_electorate):
-    # the score array is a function of the electorate and stays out of ==
+    # the duel matrix is a function of the electorate and stays out of ==
     assert build_polling_graph(cycle_electorate) == build_polling_graph(cycle_electorate)
     assert build_polling_graph(cycle_electorate) != build_polling_graph(loser_electorate)
 

@@ -147,3 +147,11 @@ def test_a_collaboration_other_than_the_two_is_refused():
 def test_a_non_finite_or_non_positive_parameter_is_refused(kwargs):
     with pytest.raises(ValueError, match="finite"):
         ReluctanceConfig(**kwargs)
+
+
+def test_a_negative_rational_steepness_is_refused():
+    # 1 / (1 + lam t) has a pole at t = -1 / lam when lam < 0
+    with pytest.raises(ValueError, match="lam must be non-negative"):
+        ReluctanceConfig(collaboration=RationalDecay(-1.0))
+    ReluctanceConfig(collaboration=RationalDecay(0.0))
+    ReluctanceConfig(collaboration=LinearClamped(-2.0))  # a negative kappa clamps and stays legal

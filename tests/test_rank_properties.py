@@ -5,7 +5,8 @@ so the tie-break order is exercised), tie-groups round-trip through the
 validating constructor, and electorates round-trip through their text
 form.  The poll graph's state views agree with its successor map, and the
 weak and strong Condorcet reports agree with a pairwise reference written
-from the definitions."""
+from the definitions.  The graph's tallies, read from the one duel matrix
+of an analysis, agree with the explicit-ballot tally."""
 
 from itertools import permutations
 
@@ -26,9 +27,11 @@ from pollsim import (
     polling_step,
     serialize_electorate,
 )
+from pollsim import dynamics, majority
 from pollsim.dynamics import all_states
+from pollsim.model import tally
 from pollsim.presets import lr_cycle_electorate
-from pollsim.strategies import Strategy
+from pollsim.strategies import Strategy, ballot_for
 
 
 def _dense(raw: list[int]) -> tuple[int, ...]:
@@ -170,3 +173,29 @@ def test_graph_builds_no_poll_state_and_classify_only_cycle_states(monkeypatch):
     classify(g, report)
     assert sorted(made) == sorted(s for cyc in g.cycles for s in cyc)
     assert len(made) == 4  # the fixed point ad and the 3-cycle ba -> da -> ca
+
+
+@settings(deadline=None, max_examples=300)
+@given(electorates())
+def test_graph_tallies_match_explicit_ballots(e):
+    g = build_polling_graph(e, report=condorcet_analysis(e))
+    for s in g.states:
+        ballots = {t.name: ballot_for(t.strategy, t.preference, s) for t in e.types}
+        assert g.tally_at(s).scores == tally(e, ballots).scores
+
+
+def test_one_duel_matrix_per_analysis(monkeypatch):
+    calls = []
+    reference = majority.duel_matrix
+
+    def counting(electorate):
+        calls.append(electorate)
+        return reference(electorate)
+
+    monkeypatch.setattr(majority, "duel_matrix", counting)
+    monkeypatch.setattr(dynamics, "duel_matrix", counting)
+    e = lr_cycle_electorate()
+    build_polling_graph(e, report=condorcet_analysis(e))
+    assert len(calls) == 1
+    build_polling_graph(e)  # without a report the builder computes it
+    assert len(calls) == 2
