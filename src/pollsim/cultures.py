@@ -10,6 +10,11 @@ Draw order inside a trial (part of the reproducibility contract):
 weights first, then preference orders (impartial) or candidate
 positions, type positions, and - under the modified leader rule - the
 two auxiliary points per type whose distance sets the approval limit.
+
+`sample_ranks` draws one trial at a time and is the reference for
+`sample_slice`, which draws a slice of trials from the same streams:
+it seeds them all at once (`_pcg64_states`), restarts one generator at
+each trial's stream, and sorts the slice's rows as stacked arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +49,80 @@ def trial_seed(seed: int, trial_index: int) -> int:
     return splitmix64(x)
 
 
+# numpy's SeedSequence hash (uint32 words, pool size 4) and PCG64's multiplier
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n (xor, multiply) constant pairs of a SeedSequence hash
+    chain, as (n, 1) columns; the chain depends on no seed."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & _M32
+        mults.append(init)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng(s)`` for each seed
+    in [0, 2^64): numpy's SeedSequence hash of the seed's two uint32
+    words, vectorised over the seeds, then ``pcg_setseq_128_srandom_r``
+    on its ``generate_state(4, uint64)``.  A seed below 2^32 is one word,
+    and the hash pads it with the same ``hashmix(0)`` a zero high word
+    gets."""
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0], pool[1] = s & _M32, s >> 32
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 16)
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    for src in range(4):
+        # word src, hashed three times, mixes into each other word in turn
+        dst = [i for i in range(4) if i != src]
+        h = _hashmix(pool[src], xor[4 + 3 * src:7 + 3 * src], mult[4 + 3 * src:7 + 3 * src])
+        mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * h
+        pool[dst] = mixed ^ (mixed >> 16)
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 8)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).astype(np.uint64)
+    words = words[0::2] | (words[1::2] << 32)  # little-endian uint32 pairs
+    states = []
+    for hi_state, lo_state, hi_seq, lo_seq in words.T.tolist():
+        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _M128
+        states.append((((inc + (hi_state << 64 | lo_state)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _trial_streams(spec: CultureSpec, lo: int, hi: int):
+    """One generator, restarted in turn at the stream of each trial
+    ``lo .. hi - 1``: the state ``default_rng(trial_seed(spec.seed, i))``
+    starts from.  Raises `RuntimeError` when the derived seeding of the
+    first trial differs from numpy's own."""
+    seeds = [trial_seed(spec.seed, i) for i in range(lo, hi)]
+    states = _pcg64_states(seeds)
+    rng = np.random.default_rng(seeds[0])
+    bit_generator = rng.bit_generator
+    if bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+        raise RuntimeError("numpy's PCG64 seeding differs from the stacked sampler's")
+    for state, inc in states:
+        # the whole state: `permuted` draws 32-bit words and can leave one buffered
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 class CultureKind(Enum):
     IMPARTIAL = "impartial"
     SPATIAL = "spatial"
@@ -64,6 +144,8 @@ class CultureSpec:
             raise ValueError("need at least one voter type")
         if self.kind is CultureKind.SPATIAL and self.dimension < 1:
             raise ValueError("spatial culture needs dimension >= 1")
+        if self.kind is CultureKind.IMPARTIAL and self.dimension != 0:
+            raise ValueError(f"impartial culture has dimension 0, got {self.dimension}")
 
 
 def candidate_names(n: int) -> tuple[str, ...]:
@@ -90,21 +172,36 @@ def _ranks(spec: CultureSpec, places: np.ndarray, limit: np.ndarray, stats: dict
     if stats is not None:
         stats.setdefault("limit_ranks", []).extend(limit.tolist())
     if spec.strategy is Strategy.MODIFIED_LEADER_RULE:
-        return np.minimum(places, limit[:, None])
+        return np.minimum(places, limit[..., None])
     return places
+
+
+@lru_cache(maxsize=16)
+def _impartial_base(n_types: int, n_candidates: int) -> np.ndarray:
+    """The read-only (types x candidates + 1) rows ``0 .. candidates``
+    that each impartial trial permutes."""
+    base = np.tile(np.arange(n_candidates + 1), (n_types, 1))
+    base.flags.writeable = False
+    return base
+
+
+def _impartial_ranks(spec: CultureSpec, rows: np.ndarray, stats: dict | None = None) -> np.ndarray:
+    """Ranks from permuted rows (any leading axes): each row orders the
+    candidates and the sentinel nc, which marks the approval limit; a
+    candidate after the sentinel moves up one place."""
+    nc = spec.n_candidates
+    pos = np.argsort(rows, axis=-1)
+    limit = pos[..., nc]
+    places = pos[..., :nc] - (pos[..., :nc] > limit[..., None])
+    return _ranks(spec, places, limit, stats)
 
 
 def _sample_impartial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None):
     """(ranks, weights) of one impartial trial: the (types x candidates)
     rank matrix, clipped under the modified leader rule, and the weights."""
-    nc, nt = spec.n_candidates, spec.n_types
-    weights = rng.random(nt)
-    # each row orders the candidates and the sentinel nc, which marks the
-    # approval limit; a candidate after the sentinel moves up one place
-    pos = np.argsort(rng.permuted(np.tile(np.arange(nc + 1), (nt, 1)), axis=1), axis=1)
-    limit = pos[:, nc]
-    places = pos[:, :nc] - (pos[:, :nc] > limit[:, None])
-    return _ranks(spec, places, limit, stats), weights
+    weights = rng.random(spec.n_types)
+    rows = rng.permuted(_impartial_base(spec.n_types, spec.n_candidates), axis=1)
+    return _impartial_ranks(spec, rows, stats), weights
 
 
 def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | None = None):
@@ -152,14 +249,83 @@ def _sample_spatial(spec: CultureSpec, rng: np.random.Generator, stats: dict | N
 
 def sample_ranks(spec: CultureSpec, trial_index: int, *, stats: dict | None = None):
     """(ranks, weights) of one trial: the (types x candidates) rank matrix
-    and the weight vector that `sample_electorate` wraps.  They are drawn
-    from the trial's own stream in the documented order, so stacking them
-    (`experiments._count_range` evaluates `experiments._SLICE` trials at a
-    time) changes no drawn value."""
+    and the weight vector that `sample_electorate` wraps, drawn from the
+    trial's own ``default_rng(trial_seed(spec.seed, trial_index))`` stream
+    in the documented order.  The per-trial reference of `sample_slice`,
+    and its path for a spatial trial whose distances tie."""
     rng = np.random.default_rng(trial_seed(spec.seed, trial_index))
     if spec.kind is CultureKind.IMPARTIAL:
         return _sample_impartial(spec, rng, stats)
     return _sample_spatial(spec, rng, stats)[:2]
+
+
+_STACK_DOUBLES = 1 << 16  # above this many doubles a spatial slice keeps one trial's draws at a time
+
+
+def _spatial_rows(spec: CultureSpec, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(type-candidate L1 distances, limit thresholds) from the trials'
+    doubles (any leading axes), split in the documented order; the
+    thresholds are infinite under the leader rule."""
+    nc, nt, d = spec.n_candidates, spec.n_types, spec.dimension
+    lead = draws.shape[:-1]
+    cand = draws[..., nt:nt + nc * d].reshape(*lead, nc, d)
+    pos = draws[..., nt + nc * d:].reshape(*lead, -1, nt, d)  # type positions, then the MLR limit points
+    diff = pos[..., 0, :, None, :] - cand[..., None, :, :]
+    dist = np.abs(diff, out=diff).sum(axis=-1)
+    if spec.strategy is Strategy.MODIFIED_LEADER_RULE:
+        return dist, np.abs(pos[..., 1, :, :] - pos[..., 2, :, :]).sum(axis=-1)
+    return dist, np.full((*lead, nt), np.inf)
+
+
+def sample_slice(spec: CultureSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks (B, types, candidates), weights (B, types)) of trials
+    ``lo .. hi - 1``, equal bit for bit to stacking `sample_ranks` of each.
+
+    Each trial draws from its own stream (`_trial_streams`): one
+    ``random`` call for all its doubles (a double takes one 64-bit output,
+    so this is the documented order), and for an impartial trial one
+    ``permuted`` of the constant base.  The sorts, distances and limits
+    then run on stacked (B, types, candidates) arrays.  A spatial slice
+    whose draws exceed ``_STACK_DOUBLES`` doubles reuses one trial's draw
+    buffer and stacks only the distances.  A spatial trial with a tied
+    row is drawn again whole by `sample_ranks`, which resamples the tied
+    types or raises."""
+    if hi <= lo:
+        raise ValueError(f"need at least one trial, got {lo} .. {hi - 1}")
+    nc, nt, d = spec.n_candidates, spec.n_types, spec.dimension
+    n = hi - lo
+    if spec.kind is CultureKind.IMPARTIAL:
+        weights = np.empty((n, nt))
+        base = _impartial_base(nt, nc)
+        rows = np.empty((n, *base.shape), base.dtype)
+        for b, rng in enumerate(_trial_streams(spec, lo, hi)):
+            rng.random(out=weights[b])
+            rng.permuted(base, axis=1, out=rows[b])
+        return _impartial_ranks(spec, rows), weights
+
+    k = nt + (nc + (3 if spec.strategy is Strategy.MODIFIED_LEADER_RULE else 1) * nt) * d
+    if n * k <= _STACK_DOUBLES:
+        draws = np.empty((n, k))
+        for b, rng in enumerate(_trial_streams(spec, lo, hi)):
+            rng.random(out=draws[b])
+        dist, thresholds = _spatial_rows(spec, draws)
+        weights = draws[:, :nt].copy()
+    else:
+        draws = np.empty(k)
+        weights, thresholds = np.empty((n, nt)), np.empty((n, nt))
+        dist = np.empty((n, nt, nc))
+        for b, rng in enumerate(_trial_streams(spec, lo, hi)):
+            rng.random(out=draws)
+            weights[b] = draws[:nt]
+            dist[b], thresholds[b] = _spatial_rows(spec, draws)
+
+    tied = (np.diff(np.sort(dist, axis=-1), axis=-1) == 0.0).any(axis=-1)
+    tied |= (dist == thresholds[..., None]).any(axis=-1)
+    places = np.argsort(np.argsort(dist, axis=-1, kind="stable"), axis=-1)
+    ranks = _ranks(spec, places, (dist < thresholds[..., None]).sum(axis=-1), None)
+    for b in np.flatnonzero(tied.any(axis=1)):
+        ranks[b] = sample_ranks(spec, lo + int(b))[0]
+    return ranks, weights
 
 
 def sample_electorate(spec: CultureSpec, trial_index: int, *, stats: dict | None = None) -> Electorate:

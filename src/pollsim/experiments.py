@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .cultures import CultureKind, CultureSpec, sample_electorate, sample_ranks
+from .cultures import CultureKind, CultureSpec, sample_electorate, sample_slice
 from .dynamics import _successors, build_polling_graph, classify
 from .majority import condorcet_analysis, duel_matrix, duel_tensor
 
@@ -84,22 +84,22 @@ def _count_range(args: tuple[CultureSpec, int, int]) -> tuple[int, int]:
     """(Condorcet winners, bad trials) over trials ``start .. stop - 1``.
 
     The batched kernel behind `run_table`; `trial_outcome` is its per-trial
-    reference.  Each slice of at most ``_SLICE`` trials is drawn trial by
-    trial with `sample_ranks` (the same streams and draws as
-    `sample_electorate`) and then evaluated as stacked arrays: the duel
-    tensor, the weak Condorcet winner (a row of ``D > D.T`` with n - 1
-    wins) and the successor table of every trial that has one.  Squaring
-    the flat successor map ceil(log2 n^2) times maps every state past its
-    tail, so the image of the n(n - 1) states is the union of the cycles,
-    and the trial is bad when some image state elects another candidate.
+    reference.  Each slice of at most ``_SLICE`` trials is drawn by
+    `sample_slice` (the same streams and draws as `sample_electorate`,
+    seeded together and sorted as one array) and then evaluated as
+    stacked arrays: the duel tensor, the weak Condorcet winner (a row of
+    ``D > D.T`` with n - 1 wins) and the successor table of every trial
+    that has one.  Squaring the flat successor map ceil(log2 n^2) times
+    maps every state past its tail, so the image of the n(n - 1) states is
+    the union of the cycles, and the trial is bad when some image state
+    elects another candidate.
     """
     spec, start, stop = args
     n = spec.n_candidates
     states = np.flatnonzero(np.arange(n * n) % (n + 1))  # w * n + r with w != r
     n_cw = n_bad = 0
     for lo in range(start, stop, _SLICE):
-        ranks, weights = zip(*(sample_ranks(spec, i) for i in range(lo, min(lo + _SLICE, stop))))
-        d = duel_tensor(np.stack(ranks), np.stack(weights))
+        d = duel_tensor(*sample_slice(spec, lo, min(lo + _SLICE, stop)))
         top = (d > d.transpose(0, 2, 1)).sum(axis=2) == n - 1
         has_cw = top.any(axis=1)
         cw = top[has_cw].argmax(axis=1)
@@ -125,7 +125,9 @@ def run_table(specs: list[CultureSpec], n_trials: int, n_jobs: int = 1) -> list[
     condition's runtime is the sum of its chunks' worker seconds."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    chunk = n_trials if n_jobs <= 1 else max(64, n_trials // (4 * n_jobs))
+    if n_jobs < 1:
+        raise ValueError(f"need at least one job, got {n_jobs}")
+    chunk = n_trials if n_jobs == 1 else max(64, n_trials // (4 * n_jobs))
     starts = range(0, n_trials, chunk)
     tasks = [(spec, lo, min(lo + chunk, n_trials)) for spec in specs for lo in starts]
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:

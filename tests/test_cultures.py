@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from pollsim import CultureKind, CultureSpec, condorcet_analysis, sample_electorate
-from pollsim.cultures import _sample_spatial, candidate_names, sample_spatial_electorate, trial_seed
+from pollsim.cultures import (
+    _impartial_base,
+    _sample_spatial,
+    candidate_names,
+    sample_spatial_electorate,
+    trial_seed,
+)
 from pollsim.strategies import Strategy
 
 
@@ -20,6 +26,8 @@ def test_spec_validation():
         CultureSpec(CultureKind.IMPARTIAL, 1, 5, Strategy.LEADER_RULE, seed=0)
     with pytest.raises(ValueError):
         CultureSpec(CultureKind.IMPARTIAL, 3, 0, Strategy.LEADER_RULE, seed=0)
+    with pytest.raises(ValueError, match="dimension"):
+        CultureSpec(CultureKind.IMPARTIAL, 3, 2, Strategy.LEADER_RULE, seed=1, dimension=7)
 
 
 def test_trial_seed_decorrelates():
@@ -104,6 +112,7 @@ def _reference_ranks(row, nc, mlr):
 def test_impartial_ranks_match_reference_loop(strategy):
     spec = spec_of(CultureKind.IMPARTIAL, strategy, seed=21)
     nc, nt = spec.n_candidates, spec.n_types
+    assert not _impartial_base(nt, nc).flags.writeable  # every trial permutes the one cached base
     for i in range(100):
         rng = np.random.default_rng(trial_seed(spec.seed, i))
         rng.random(nt)  # the weights are drawn first

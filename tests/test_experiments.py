@@ -36,6 +36,13 @@ def test_run_condition_counts():
     assert r.runtime_s > 0
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_table_needs_at_least_one_job(jobs):
+    # below one, the worker count used to run serially without a word
+    with pytest.raises(ValueError, match="job"):
+        run_table([_spec()], 5, n_jobs=jobs)
+
+
 def test_parallel_matches_serial():
     spec = _spec(seed=5)
     r1 = run_condition(spec, 400, n_jobs=1)

@@ -12,7 +12,9 @@ relation.  The `ks_profile` digests (the entropies' `float.hex` and the
 distinct-factor counts) were taken before the profile came from one sort
 of packed window codes.  The planar words under the literal/raw, rational
 and simple-margin configurations and the reluctance entropy output were
-taken before a planar word came from one n-step loop of the map."""
+taken before a planar word came from one n-step loop of the map.  The
+spatial d = 400 MLR and d = 3 LR Monte Carlo digests were taken before
+the trials of a slice were seeded together and sorted as one array."""
 
 import hashlib
 from pathlib import Path
@@ -66,6 +68,13 @@ MC_OUTPUTS = {
     "mc-spatial-d1-mlr": (MC + ["--culture", "spatial", "--dim", "1", "--strategy", "mlr",
                                 "--candidates", "6", "--types", "20", "--seed", "13"],
                           "78ee87567c4becdf0c7168e5c3591fdb628ea004c5e1834e4098e0e0199c20db"),
+    # a slice of d = 400 trials draws too many doubles to stack them
+    "mc-spatial-d400-mlr": (MC + ["--culture", "spatial", "--dim", "400", "--strategy", "mlr",
+                                  "--candidates", "6", "--types", "20", "--seed", "14"],
+                            "4b6c5b893ac4af7802a0e830b70d6703b0c19b77827c2662478dabb4274142fd"),
+    "mc-spatial-d3-lr-8c": (MC + ["--culture", "spatial", "--dim", "3", "--strategy", "lr",
+                                  "--candidates", "8", "--types", "20", "--seed", "15"],
+                            "3c6ae475204620d681fe286dd42be23cda85ce862768a6d6c86ac10eea417559"),
 }
 
 # the summary printed by `pollsim analyze` followed by its DOT file
