@@ -145,6 +145,8 @@ class PlanarReluctanceMap:
 
     def winners_word(self, start: tuple[float, float], n: int) -> str:
         """The winners of the first n states of the orbit of ``start``."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 letters, got {n}")
         return self._run(start, n)[0]
 
     def scores(self, state: tuple[float, float]) -> tuple[float, float, float]:
@@ -292,6 +294,8 @@ class TentModel:
         ``start``: read off its binary expansion when the denominator is
         odd and start < 1, iterated in integers on the fixed denominator
         otherwise."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 letters, got {n}")
         num, den = start.numerator, start.denominator
         if not 0 <= num <= den:
             raise ValueError("start must lie in [0, 1]")

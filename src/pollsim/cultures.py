@@ -12,9 +12,9 @@ positions, type positions, and - under the modified leader rule - the
 two auxiliary points per type whose distance sets the approval limit.
 
 `sample_ranks` draws one trial at a time and is the reference for
-`sample_slice`, which draws a slice of trials from the same streams:
-it seeds them all at once (`_pcg64_states`), restarts one generator at
-each trial's stream, and sorts the slice's rows as stacked arrays.
+`sample_slice`, which draws a slice of trials from the same streams: it
+seeds them all at once (`_pcg64_states`), restarts one generator at each
+trial's stream, and sorts the slice's rows as stacked arrays.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def sample_ranks(spec: CultureSpec, trial_index: int, *, stats: dict | None = No
     return _sample_spatial(spec, rng, stats)[:2]
 
 
-_STACK_DOUBLES = 1 << 16  # above this many doubles a spatial slice keeps one trial's draws at a time
+_STACK_DOUBLES = 1 << 16  # a block of spatial trials draws and differences at most this many doubles, or is one trial
 
 
 def _spatial_rows(spec: CultureSpec, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +284,11 @@ def sample_slice(spec: CultureSpec, lo: int, hi: int) -> tuple[np.ndarray, np.nd
     Each trial draws from its own stream (`_trial_streams`): one
     ``random`` call for all its doubles (a double takes one 64-bit output,
     so this is the documented order), and for an impartial trial one
-    ``permuted`` of the constant base.  The sorts, distances and limits
-    then run on stacked (B, types, candidates) arrays.  A spatial slice
-    whose draws exceed ``_STACK_DOUBLES`` doubles reuses one trial's draw
-    buffer and stacks only the distances.  A spatial trial with a tied
-    row is drawn again whole by `sample_ranks`, which resamples the tied
-    types or raises."""
+    ``permuted`` of the constant base.  Spatial trials draw into one
+    reused buffer, a block of trials at a time (`_STACK_DOUBLES`).  The
+    sorts, distances and limits run on stacked (B, types, candidates)
+    arrays.  A spatial trial with a tied row is drawn again whole by
+    `sample_ranks`, which resamples the tied types or raises."""
     if hi <= lo:
         raise ValueError(f"need at least one trial, got {lo} .. {hi - 1}")
     nc, nt, d = spec.n_candidates, spec.n_types, spec.dimension
@@ -304,20 +303,17 @@ def sample_slice(spec: CultureSpec, lo: int, hi: int) -> tuple[np.ndarray, np.nd
         return _impartial_ranks(spec, rows), weights
 
     k = nt + (nc + (3 if spec.strategy is Strategy.MODIFIED_LEADER_RULE else 1) * nt) * d
-    if n * k <= _STACK_DOUBLES:
-        draws = np.empty((n, k))
-        for b, rng in enumerate(_trial_streams(spec, lo, hi)):
-            rng.random(out=draws[b])
-        dist, thresholds = _spatial_rows(spec, draws)
-        weights = draws[:, :nt].copy()
-    else:
-        draws = np.empty(k)
-        weights, thresholds = np.empty((n, nt)), np.empty((n, nt))
-        dist = np.empty((n, nt, nc))
-        for b, rng in enumerate(_trial_streams(spec, lo, hi)):
-            rng.random(out=draws)
-            weights[b] = draws[:nt]
-            dist[b], thresholds[b] = _spatial_rows(spec, draws)
+    block = max(1, _STACK_DOUBLES // max(k, nt * nc * d))  # a trial's draws or its difference array
+    draws = np.empty((min(block, n), k))
+    weights, thresholds, dist = np.empty((n, nt)), np.empty((n, nt)), np.empty((n, nt, nc))
+    streams = _trial_streams(spec, lo, hi)
+    for start in range(0, n, block):
+        rows = draws[:min(block, n - start)]
+        for row, rng in zip(rows, streams):
+            rng.random(out=row)
+        stop = start + len(rows)
+        weights[start:stop] = rows[:, :nt]
+        dist[start:stop], thresholds[start:stop] = _spatial_rows(spec, rows)
 
     tied = (np.diff(np.sort(dist, axis=-1), axis=-1) == 0.0).any(axis=-1)
     tied |= (dist == thresholds[..., None]).any(axis=-1)

@@ -34,6 +34,10 @@ def _fail(lineno: int, line: str, token: str, message: str) -> ParseError:
     return ParseError(lineno, col, message)
 
 
+def _separator_name(names) -> str | None:  # the first name no type line could spell
+    return next((n for n in names if ">" in n or "=" in n), None)
+
+
 def parse_electorate(text: str) -> Electorate:
     candidates: CandidateSet | None = None
     types: list[VoterType] = []
@@ -51,6 +55,8 @@ def parse_electorate(text: str) -> Electorate:
                 raise _fail(lineno, raw, "candidates:", "empty candidates declaration")
             if len(set(names)) != len(names):
                 raise _fail(lineno, raw, names[0], "duplicate candidate in declaration")
+            if bad := _separator_name(names):
+                raise _fail(lineno, raw, bad, f"candidate name {bad!r} contains '>' or '='")
             candidates = CandidateSet(tuple(names))
             continue
         if line.startswith("type"):
@@ -119,6 +125,8 @@ def _weight_str(w: float) -> str:
 
 
 def serialize_electorate(electorate: Electorate) -> str:
+    if bad := _separator_name(electorate.candidates):
+        raise ValueError(f"candidate name {bad!r} contains '>' or '=' and cannot be written")
     lines = ["candidates: " + " ".join(electorate.candidates.names)]
     for t in electorate.types:
         pref = ">".join(

@@ -37,10 +37,6 @@ class CandidateSet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate candidate names")
 
-    @classmethod
-    def of(cls, *names: Candidate) -> "CandidateSet":
-        return cls(tuple(names))
-
     def index(self, name: Candidate) -> int:
         try:
             return self.names.index(name)
@@ -133,17 +129,9 @@ class Preference:
         """Index of the tie-group containing ``name`` (0 = most preferred)."""
         return self.ranks[self.candidates.index(name)]
 
-    def prefers(self, alpha: Candidate, beta: Candidate) -> bool:
-        """True iff ``alpha`` is strictly preferred to ``beta``."""
-        return self.rank_of(alpha) < self.rank_of(beta)
-
     @property
     def tie_free(self) -> bool:
         return max(self.ranks) == len(self.ranks) - 1
-
-    @property
-    def last_group(self) -> Ballot:
-        return self.groups[-1]
 
 
 def _sincere(pref: Preference, ballot: Ballot, below) -> bool:

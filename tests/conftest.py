@@ -6,12 +6,12 @@ from pollsim.presets import consensual_loser_electorate, lr_cycle_electorate, tw
 
 @pytest.fixture(scope="session")
 def abcd():
-    return CandidateSet.of("a", "b", "c", "d")
+    return CandidateSet(("a", "b", "c", "d"))
 
 
 @pytest.fixture(scope="session")
 def abc():
-    return CandidateSet.of("a", "b", "c")
+    return CandidateSet(("a", "b", "c"))
 
 
 @pytest.fixture(scope="session")

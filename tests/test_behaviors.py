@@ -184,3 +184,11 @@ def test_tent_word_from_default_starts():
         start = tent.default_start(seed)
         want = _tent_word_by_steps(start.numerator, start.denominator, 20_000)
         assert tent.winners_word_exact(start, 20_000) == want
+
+
+@pytest.mark.parametrize("start", [Fraction(2, 5), Fraction(1, 4)])  # by the expansion, by steps
+def test_tent_negative_word_length_is_refused(start):
+    tent = build_tent_model()
+    with pytest.raises(ValueError, match="n >= 0"):
+        tent.winners_word_exact(start, -5)
+    assert tent.winners_word_exact(start, 0) == ""

@@ -180,7 +180,7 @@ def test_object_path_matches_graph_successors():
 def test_two_candidate_dynamics_enumeration():
     # with two candidates the same ballots are cast at both states, so the
     # dynamics reaches a fixed point after at most one step
-    cs = CandidateSet.of("a", "b")
+    cs = CandidateSet(("a", "b"))
     spec = CultureSpec(CultureKind.IMPARTIAL, 2, 5, Strategy.MODIFIED_LEADER_RULE, seed=9)
     for i in range(200):
         e = sample_electorate(spec, i)

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 from pollsim import (
+    CandidateSet,
+    Electorate,
     ParseError,
+    Preference,
+    Strategy,
+    VoterType,
     build_polling_graph,
     classify,
     condorcet_analysis,
@@ -87,6 +92,7 @@ def test_parse_weights_and_defaults():
         ("candidates: a b\nwhatever here", "unrecognized line"),
         ("candidates: a b\ntype Z: a>b", "incomplete type declaration"),
         ("candidates: a a\ntype Z: a>a 1", "duplicate candidate"),
+        ("candidates: a=b c\ntype Z: a>c 1", "contains '>' or '='"),
         ("", "no candidates"),
         ("candidates: a b\n# only comments", "no voter types"),
     ],
@@ -104,6 +110,20 @@ def test_parse_error_carries_position():
         assert exc.column == len("type Z: a>") + 1
     else:
         raise AssertionError("expected ParseError")
+
+
+def test_separator_in_candidate_name_is_refused_at_its_column():
+    with pytest.raises(ParseError) as exc:
+        parse_electorate("candidates: b c>d\ntype Z: b>c 1")
+    assert (exc.value.line, exc.value.column) == (1, len("candidates: b ") + 1)
+
+
+@pytest.mark.parametrize("name", ["a>b", "a=b"])
+def test_serialize_refuses_a_separator_in_a_candidate_name(name):
+    cs = CandidateSet((name, "c"))
+    e = Electorate(cs, (VoterType("Z", Preference(cs, (0, 1)), 1.0, Strategy.LEADER_RULE),))
+    with pytest.raises(ValueError, match="cannot be written"):
+        serialize_electorate(e)
 
 
 def test_preference_notation(loser_electorate):

@@ -14,7 +14,9 @@ of packed window codes.  The planar words under the literal/raw, rational
 and simple-margin configurations and the reluctance entropy output were
 taken before a planar word came from one n-step loop of the map.  The
 spatial d = 400 MLR and d = 3 LR Monte Carlo digests were taken before
-the trials of a slice were seeded together and sorted as one array."""
+the trials of a slice were seeded together and sorted as one array, and
+the d = 400 LR and d = 50 MLR ones before a slice's spatial trials were
+drawn in blocks sized by one bound."""
 
 import hashlib
 from pathlib import Path
@@ -68,13 +70,20 @@ MC_OUTPUTS = {
     "mc-spatial-d1-mlr": (MC + ["--culture", "spatial", "--dim", "1", "--strategy", "mlr",
                                 "--candidates", "6", "--types", "20", "--seed", "13"],
                           "78ee87567c4becdf0c7168e5c3591fdb628ea004c5e1834e4098e0e0199c20db"),
-    # a slice of d = 400 trials draws too many doubles to stack them
+    # one trial per sampler pass: a d = 400 trial's draws fill the block bound
     "mc-spatial-d400-mlr": (MC + ["--culture", "spatial", "--dim", "400", "--strategy", "mlr",
                                   "--candidates", "6", "--types", "20", "--seed", "14"],
                             "4b6c5b893ac4af7802a0e830b70d6703b0c19b77827c2662478dabb4274142fd"),
     "mc-spatial-d3-lr-8c": (MC + ["--culture", "spatial", "--dim", "3", "--strategy", "lr",
                                   "--candidates", "8", "--types", "20", "--seed", "15"],
                             "3c6ae475204620d681fe286dd42be23cda85ce862768a6d6c86ac10eea417559"),
+    "mc-spatial-d400-lr": (MC + ["--culture", "spatial", "--dim", "400", "--strategy", "lr",
+                                 "--candidates", "6", "--types", "20", "--seed", "16"],
+                           "772cec6eabfc47fa9dfe6600222ba812d5b010c6e4b67f0ed8b4de6abb00dfbc"),
+    # a block of 10 trials per sampler pass, and an uneven last block in every slice
+    "mc-spatial-d50-mlr": (MC + ["--culture", "spatial", "--dim", "50", "--strategy", "mlr",
+                                 "--candidates", "6", "--types", "20", "--seed", "17"],
+                           "17d0e6e688d57234f25006aa8dd02a3805b3316767a9e729f2155bc0b5c43b89"),
 }
 
 # the summary printed by `pollsim analyze` followed by its DOT file

@@ -188,7 +188,7 @@ def test_consensual_loser_loses_every_comparable_duel():
                 continue
             distinguishing = sum(
                 t.weight for t in e.types
-                if cl in t.preference.last_group and other not in t.preference.last_group
+                if cl in t.preference.groups[-1] and other not in t.preference.groups[-1]
             )
             if distinguishing > total / 2:
                 comparable += 1

@@ -123,6 +123,13 @@ def test_a_start_outside_the_unit_square_is_refused(start):
         winners_word(m, start, 10)
 
 
+def test_a_negative_word_length_is_refused():
+    m = build_planar_map()
+    with pytest.raises(ValueError, match="n >= 0"):
+        m.winners_word((0.5, 0.5), -3)
+    assert m.winners_word((0.5, 0.5), 0) == ""
+
+
 def test_map_pickles_by_its_configuration():
     m = build_planar_map(ReluctanceConfig(b_score_rule=BScoreRule.LITERAL, collaboration=RationalDecay(3.0)))
     copy = pickle.loads(pickle.dumps(m))

@@ -4,8 +4,9 @@
 (`_pcg64_states`, numpy's SeedSequence hash and PCG64 seeding) and sorts
 the slice's rows as stacked arrays.  Each seeded state must equal
 ``np.random.default_rng(seed)``'s, and each slice must equal stacking
-`sample_ranks` trial by trial, bit for bit, in both memory branches, after
-a ``permuted`` left a 32-bit word buffered, and when a trial ties."""
+`sample_ranks` trial by trial, bit for bit, at every block size of its
+spatial trials, after a ``permuted`` left a 32-bit word buffered, and when
+a trial ties."""
 
 import numpy as np
 import pytest
@@ -64,15 +65,50 @@ def test_slice_equals_per_trial_reference(d, strategy, n):
     _assert_equals_reference(_spec(d, strategy, nc=2, nt=1, seed=-4), 0, n)
 
 
-@pytest.mark.parametrize("d", [1, 3, 400])
-def test_both_memory_branches_equal_the_reference(d, monkeypatch):
-    # d = 400 draws 64 x 26,420 doubles and keeps one trial's at a time;
-    # d <= 3 stacks them.  Force each spec through the other branch too.
-    for strategy in (LR, MLR):
-        _assert_equals_reference(_spec(d, strategy), 0, 64)
-    monkeypatch.setattr(cultures, "_STACK_DOUBLES", 0 if d < 400 else 1 << 30)
-    for strategy in (LR, MLR):
-        _assert_equals_reference(_spec(d, strategy), 0, 64)
+def _record_blocks(monkeypatch):
+    """The leading shape of every draws array `_spatial_rows` receives."""
+    rows, shapes = cultures._spatial_rows, []
+
+    def recorded_rows(spec, draws):
+        shapes.append(draws.shape[:-1])
+        return rows(spec, draws)
+
+    monkeypatch.setattr(cultures, "_spatial_rows", recorded_rows)
+    return shapes
+
+
+@pytest.mark.parametrize("d, nc", [(1, 6), (2, 6), (3, 8), (400, 6)])
+@pytest.mark.parametrize("strategy", [LR, MLR])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_forced_blocks_equal_the_reference(d, nc, strategy, block, monkeypatch):
+    # a bound of `block` trials' doubles (the larger of a trial's draws and
+    # its difference array), plus a remainder the division drops, gives
+    # blocks of that many trials, the last one short when the slice does
+    # not divide
+    nt = 20
+    k = nt + (nc + (3 if strategy is MLR else 1) * nt) * d
+    monkeypatch.setattr(cultures, "_STACK_DOUBLES", block * max(k, nt * nc * d) + block - 1)
+    shapes = _record_blocks(monkeypatch)
+    for n in (7, 64):
+        shapes.clear()
+        _assert_equals_reference(_spec(d, strategy, nc=nc), 3, 3 + n)
+        assert shapes == [(block,)] * (n // block) + [(n % block,)] * (n % block > 0)
+
+
+@pytest.mark.parametrize("d, nc, strategy, blocks", [
+    *[(d, 6, s, [(64,)]) for d in (1, 2, 3) for s in (LR, MLR)],
+    (1, 8, MLR, [(64,)]),
+    (3, 8, LR, [(64,)]),
+    (400, 6, LR, [(1,)] * 64),
+    (400, 6, MLR, [(1,)] * 64),
+    (50, 6, MLR, [(10,)] * 6 + [(4,)]),
+])
+def test_paper_conditions_keep_their_blocks(d, nc, strategy, blocks, monkeypatch):
+    # the culture table's spatial slices of 64 trials: one block at
+    # d <= 3, one trial at a time at d = 400; d = 50 takes 10 at a time
+    shapes = _record_blocks(monkeypatch)
+    sample_slice(_spec(d, strategy, nc=nc), 0, 64)
+    assert shapes == blocks
 
 
 @st.composite

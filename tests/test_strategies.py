@@ -41,7 +41,7 @@ def test_modified_leader_rule_constant_types(abc):
 
 
 def test_modified_leader_rule_tied_runner_up():
-    cs = CandidateSet.of(*"abcdef")
+    cs = CandidateSet(tuple("abcdef"))
     p = pref(cs, "ab(cdef)")
     assert modified_leader_rule(p, state("e", "f")) == frozenset("ab")
 
@@ -79,7 +79,7 @@ def test_outputs_sincere_for_every_tie_structure_and_outcome(n):
             if terminal_ties_only:
                 assert is_sincere(p, ballot)
             # the bottom tie-group is never approved
-            assert not (ballot & p.last_group)
+            assert not (ballot & p.groups[-1])
             count += 1
     assert count == len(outcomes) * _fubini(n)
 
