@@ -17,13 +17,11 @@ from .model import (
     VoterType,
     is_sincere,
     outcome_from_tally,
-    sincere_ballots,
     tally,
 )
 from .strategies import Strategy, ballot_for, leader_rule, modified_leader_rule
 from .majority import (
     CondorcetReport,
-    DuelResult,
     PositionalModel,
     condorcet_analysis,
     median_candidate,

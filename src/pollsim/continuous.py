@@ -81,11 +81,19 @@ def orbit_rows(
 class MarginGate:
     """The rate of a dynamics: ``p`` where every pairwise score margin
     reaches ``threshold``, ``closed`` elsewhere; with ``closed == p`` it is
-    the constant rate p."""
+    the constant rate p.  Both rates lie in [0, 1] and the threshold is
+    finite and non-negative."""
 
     p: float
     threshold: float
     closed: float
+
+    def __post_init__(self) -> None:
+        for name in ("p", "closed"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError(f"threshold must be finite and non-negative, got {self.threshold}")
 
     def __call__(self, out: Outcome) -> float:
         if all(abs(a - b) >= self.threshold for a, b in combinations(out.tally.scores, 2)):

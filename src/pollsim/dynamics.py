@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .majority import CondorcetReport, duel_matrix
-from .model import Candidate, Electorate, Outcome, Tally, outcome_from_tally, tally
+from .model import Candidate, Electorate, Tally, outcome_from_tally, tally
 from .strategies import Strategy, ballot_for
 
 
@@ -66,9 +66,9 @@ class PollingGraph:
     `duel_matrix` they come from; ``tally_at`` reads the closed form from
     it.
 
-    ``states``, ``successor``, ``cycles``, ``cycle_index`` and ``basin`` are
-    `PollState` views built on first use; ``basin[k]`` is the set of states
-    that eventually reach ``cycles[k]`` (the cycle's own states included).
+    ``states``, ``successor``, ``cycles`` and ``basin`` are `PollState`
+    views built on first use; ``basin[k]`` is the set of states that
+    eventually reach ``cycles[k]`` (the cycle's own states included).
     """
 
     electorate: Electorate
@@ -99,13 +99,9 @@ class PollingGraph:
         return [tuple(PollState(names[i // n], names[i % n]) for i in c) for c in self.cycle_ids]
 
     @cached_property
-    def cycle_index(self) -> dict:
-        return {s: k for s, k in zip(self._state_of, self.label) if s is not None}
-
-    @cached_property
     def basin(self) -> dict:
-        index = self.cycle_index
-        return {k: frozenset(s for s in index if index[s] == k) for k in range(len(self.cycle_ids))}
+        pairs = list(zip(self._state_of, self.label))  # the diagonal's label -1 is no cycle
+        return {k: frozenset(s for s, j in pairs if j == k) for k in range(len(self.cycle_ids))}
 
     def is_fixed_point(self, state: PollState) -> bool:
         return self.successor[state] == state

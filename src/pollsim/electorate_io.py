@@ -8,7 +8,10 @@ File grammar (one statement per line, ``#`` starts a comment line)::
 
 ``>`` separates tie-groups from most to least preferred, ``=`` joins
 tied candidates, the number is the voter weight, and the optional
-strategy is LR or MLR (default MLR).
+strategy is LR or MLR (default MLR).  A candidate name is one token
+without ``>`` or ``=``; a type name is not blank, holds no ``:`` or line
+break and no whitespace at either end.  `serialize_electorate` refuses
+other names, which would not read back.
 """
 
 from __future__ import annotations
@@ -34,8 +37,12 @@ def _fail(lineno: int, line: str, token: str, message: str) -> ParseError:
     return ParseError(lineno, col, message)
 
 
-def _separator_name(names) -> str | None:  # the first name no type line could spell
-    return next((n for n in names if ">" in n or "=" in n), None)
+def _bad_candidate_name(names) -> str | None:  # the first name that is not one token of a type line
+    return next((n for n in names if not n or any(c.isspace() or c in ">=" for c in n)), None)
+
+
+def _bad_type_name(names) -> str | None:  # the first name that a type line would not give back
+    return next((n for n in names if n != n.strip() or ":" in n or n.splitlines() != [n]), None)
 
 
 def parse_electorate(text: str) -> Electorate:
@@ -55,7 +62,7 @@ def parse_electorate(text: str) -> Electorate:
                 raise _fail(lineno, raw, "candidates:", "empty candidates declaration")
             if len(set(names)) != len(names):
                 raise _fail(lineno, raw, names[0], "duplicate candidate in declaration")
-            if bad := _separator_name(names):
+            if (bad := _bad_candidate_name(names)) is not None:
                 raise _fail(lineno, raw, bad, f"candidate name {bad!r} contains '>' or '='")
             candidates = CandidateSet(tuple(names))
             continue
@@ -125,8 +132,10 @@ def _weight_str(w: float) -> str:
 
 
 def serialize_electorate(electorate: Electorate) -> str:
-    if bad := _separator_name(electorate.candidates):
-        raise ValueError(f"candidate name {bad!r} contains '>' or '=' and cannot be written")
+    if (bad := _bad_candidate_name(electorate.candidates)) is not None:
+        raise ValueError(f"candidate name {bad!r} cannot be written (empty, or holds whitespace, '>' or '=')")
+    if (bad := _bad_type_name(t.name for t in electorate.types)) is not None:
+        raise ValueError(f"type name {bad!r} cannot be written (blank, outer whitespace, ':' or a line break)")
     lines = ["candidates: " + " ".join(electorate.candidates.names)]
     for t in electorate.types:
         pref = ">".join(
@@ -164,40 +173,33 @@ def _transient_heights(graph: PollingGraph) -> dict:
     return heights
 
 
-def export_dot(graph: PollingGraph, report: DynamicsReport | None = None) -> str:
-    """DOT rendering of a polling graph.
+def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
+    """DOT rendering of a polling graph and its classification report.
 
     One node per state labeled winner+runner-up; self-loops on fixed
-    points are omitted.  With a classification report, recurrent states
-    electing the Condorcet winner are light green, other states electing
-    it are green, bad periodic states are orange, bad equilibria are red,
-    and transient states that stop being reachable after some iteration
-    are grey (annotated with that iteration count).
+    points are omitted.  Recurrent states electing the Condorcet winner
+    are light green, other states electing it are green, bad periodic
+    states are orange, bad equilibria are red, and transient states that
+    stop being reachable after some iteration are grey (annotated with
+    that iteration count).
     """
     lines = ["digraph polling_dynamics {", "  rankdir=LR;", '  node [style=filled, fillcolor=white];']
     on_cycle = {s for cyc in graph.cycles for s in cyc}
-    cw = report.condorcet_winner if report is not None else None
-    heights = _transient_heights(graph) if report is not None else {}
+    cw = report.condorcet_winner  # None elects no state
+    heights = _transient_heights(graph)
 
     for s in graph.states:
-        attrs = []
-        if report is not None:
-            if s in on_cycle:
-                if cw is not None and s.winner == cw:
-                    attrs.append("fillcolor=lightgreen")
-                elif graph.is_fixed_point(s):
-                    attrs.append("fillcolor=red")
-                else:
-                    attrs.append("fillcolor=orange")
+        if s in on_cycle:
+            if s.winner == cw:
+                attrs = "fillcolor=lightgreen"
+            elif graph.is_fixed_point(s):
+                attrs = "fillcolor=red"
             else:
-                gone_after = heights[s] + 1
-                if cw is not None and s.winner == cw:
-                    attrs.append("fillcolor=green")
-                else:
-                    attrs.append("fillcolor=grey")
-                attrs.append(f'tooltip="cannot occur after {gone_after} iterations"')
-        attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{s.label}"{attr_txt};')
+                attrs = "fillcolor=orange"
+        else:
+            fill = "green" if s.winner == cw else "grey"
+            attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[s] + 1} iterations"'
+        lines.append(f'  "{s.label}" [{attrs}];')
 
     for s in graph.states:
         t = graph.successor[s]

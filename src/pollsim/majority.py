@@ -1,21 +1,15 @@
-"""Majority-graph analysis: pairwise domination, Condorcet winner/loser
-and order, consensual loser, and the one-dimensional median construction.
+"""Majority-graph analysis: the duel matrix of pairwise strict
+preferences, Condorcet winner/loser and order, consensual loser, and the
+one-dimensional median construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .model import Candidate, Electorate
-
-
-class DuelResult(Enum):
-    DOMINATES = "dominates"
-    DOMINATED = "dominated"
-    TIE = "tie"
 
 
 def duel_matrix(electorate: Electorate) -> np.ndarray:
@@ -36,13 +30,11 @@ def duel_tensor(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CondorcetReport:
-    domination: dict
     condorcet_winner: Candidate | None
     condorcet_loser: Candidate | None
     consensual_loser: Candidate | None
     condorcet_order: tuple[Candidate, ...] | None
     duel: np.ndarray = field(compare=False, repr=False)  # the `duel_matrix` every field derives from
-    strong: bool = False
 
 
 def condorcet_analysis(
@@ -50,30 +42,22 @@ def condorcet_analysis(
 ) -> CondorcetReport:
     """Full majority-graph report.
 
-    Every field derives from two relations on the duel matrix D: ``wins``
-    (D[i, j] > D[j, i], which gives `domination`) and ``beats``, the
-    Condorcet relation.  ``beats`` is ``wins``, or with ``strong=True``
-    D[i, j] > total / 2: the winner must then be preferred by a strict
-    majority of the whole electorate (abstainers counted in the
-    denominator); the two definitions coincide on tie-free preferences.
-    The winner beats every other candidate and the loser is beaten by
-    every other one; the Condorcet order sorts the candidates by how many
-    they beat and exists when each one beats all that follow it.  The
-    report keeps D as ``duel``; a precomputed `duel_matrix` can be passed
-    to avoid recomputing it.
+    Every field derives from the duel matrix D, which the report keeps as
+    ``duel``: its majority relation is ``duel > duel.T`` (D[i, j] >
+    D[j, i]).  The Condorcet relation ``beats`` is the majority relation,
+    or with ``strong=True`` D[i, j] > total / 2: the winner must then be
+    preferred by a strict majority of the whole electorate (abstainers
+    counted in the denominator); the two definitions coincide on tie-free
+    preferences.  The winner beats every other candidate and the loser is
+    beaten by every other one; the Condorcet order sorts the candidates by
+    how many they beat and exists when each one beats all that follow it.
+    A precomputed `duel_matrix` can be passed to avoid recomputing it.
     """
     names = electorate.candidates.names
     n = len(names)
     d = duel_matrix(electorate) if duel is None else duel
     total = electorate.total_weight
-    wins = d > d.T
-    beats = d > total / 2 if strong else wins
-
-    kinds = (DuelResult.TIE, DuelResult.DOMINATES, DuelResult.DOMINATED)
-    duel_kind = (wins + 2 * wins.T).tolist()  # 1: i wins, 2: j wins, 0: tie
-    domination = {
-        (a, b): kinds[duel_kind[i][j]] for i, a in enumerate(names) for j, b in enumerate(names) if i != j
-    }
+    beats = d > total / 2 if strong else d > d.T
 
     # the diagonal of `beats` is False (D[i, i] = 0 and the total is
     # positive), so beating n - 1 candidates is beating every other one
@@ -100,13 +84,11 @@ def condorcet_analysis(
     order = tuple(names[i] for i in order_idx) if chain else None
 
     return CondorcetReport(
-        domination=domination,
         condorcet_winner=winner,
         condorcet_loser=loser,
         consensual_loser=consensual,
         condorcet_order=order,
         duel=d,
-        strong=strong,
     )
 
 

@@ -158,17 +158,6 @@ def is_weakly_sincere(pref: Preference, ballot: Ballot) -> bool:
     return _sincere(pref, ballot, operator.le)
 
 
-def sincere_ballots(pref: Preference) -> list[Ballot]:
-    """All prefix-unions of tie-groups, from the empty ballot up to the
-    full candidate set, in increasing size."""
-    out: list[Ballot] = [frozenset()]
-    acc: frozenset = frozenset()
-    for group in pref.groups:
-        acc = acc | group
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class VoterType:
     """A bloc of identical voters: preference, weight and strategy tag."""
@@ -213,9 +202,6 @@ class Tally:
     def __post_init__(self) -> None:
         if len(self.scores) != len(self.candidates):
             raise ValueError("score vector length mismatch")
-
-    def score(self, name: Candidate) -> float:
-        return self.scores[self.candidates.index(name)]
 
     def as_dict(self) -> dict[Candidate, float]:
         return dict(zip(self.candidates.names, self.scores))

@@ -195,8 +195,8 @@ def test_criterion_01_lr_cycle_golden():
     if basin != 9:
         problems.append(f"cycle basin is {basin}/12, the printed tallies force 9/12")
     off_cycle = [s for s in g.states if s.label not in chain]
-    to_equilibrium = sorted(s.label for s in off_cycle if g.cycle_index[s] != k3)
-    into_cycle = sorted(s.label for s in off_cycle if g.cycle_index[s] == k3)
+    to_equilibrium = sorted(s.label for s in off_cycle if s not in g.basin[k3])
+    into_cycle = sorted(s.label for s in off_cycle if s in g.basin[k3])
     if to_equilibrium != ["ab", "ac", "ad"] or into_cycle != ["bc", "bd", "cb", "cd", "db", "dc"]:
         problems.append(
             f"off-cycle split: {to_equilibrium} reach ad and {into_cycle} reach the 3-cycle; "

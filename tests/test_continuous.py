@@ -11,6 +11,7 @@ from pollsim import (
     CandidateSet,
     Electorate,
     Fallback,
+    MarginGate,
     PollState,
     Preference,
     TwoShareView,
@@ -108,10 +109,10 @@ def test_aggregate_closed_form_two_bloc():
     rng = np.random.default_rng(0)
     for _ in range(100):
         x, z = rng.random(), rng.random()
-        t = dyn.scores(view.state(x, z))
-        assert t.score("a") == pytest.approx(3 * x + 4, abs=1e-12)
-        assert t.score("b") == pytest.approx(3 * z + 3, abs=1e-12)
-        assert t.score("c") == 5.0
+        t = dyn.scores(view.state(x, z)).as_dict()
+        assert t["a"] == pytest.approx(3 * x + 4, abs=1e-12)
+        assert t["b"] == pytest.approx(3 * z + 3, abs=1e-12)
+        assert t["c"] == 5.0
 
 
 def test_aggregate_extreme_state_matches_discrete_tally():
@@ -370,6 +371,22 @@ def test_margin_must_be_finite_and_non_negative(margin):
     # a NaN threshold would close the gate at every state
     with pytest.raises(ValueError, match="margin"):
         two_bloc_dynamics(margin=margin)
+
+
+@pytest.mark.parametrize("gate, field", [
+    # each of the first three once stepped a two-bloc state to shares
+    # outside [0, 1] or to NaN shares
+    ((1.5, 0.0, 1.5), "p"),
+    ((0.5, float("nan"), -0.5), "closed"),
+    ((float("nan"), 0.0, 0.2), "p"),
+    ((0.5, float("nan"), 0.5), "threshold"),
+    ((0.5, float("inf"), 0.5), "threshold"),
+    ((0.5, -1.0, 0.5), "threshold"),
+])
+def test_margin_gate_refuses_a_rate_or_threshold_out_of_range(gate, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        MarginGate(*gate)
+    assert MarginGate(0.0, 0.0, 1.0).closed == 1.0  # the ends of [0, 1] are rates
 
 
 @pytest.mark.parametrize("make", [

@@ -126,6 +126,29 @@ def test_serialize_refuses_a_separator_in_a_candidate_name(name):
         serialize_electorate(e)
 
 
+@pytest.mark.parametrize("candidate, type_name, bad", [
+    ("a b", "Z", "a b"),
+    ("a\tb", "Z", "a\tb"),
+    ("", "Z", ""),
+    ("a", "Z:1", "Z:1"),
+    ("a", "", ""),
+    ("a", "  ", "  "),
+    ("a", "Z\nW", "Z\nW"),
+    ("a", "Z ", "Z "),  # read back as "Z", another electorate
+    ("a", " Z", " Z"),
+    ("a", "Z 1", None),
+    ("a:b", "#Z", None),
+])
+def test_serialized_names_read_back_or_are_refused(candidate, type_name, bad):
+    cs = CandidateSet((candidate, "c"))
+    e = Electorate(cs, (VoterType(type_name, Preference(cs, (0, 1)), 1.0, Strategy.LEADER_RULE),))
+    if bad is None:
+        assert parse_electorate(serialize_electorate(e)) == e
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            serialize_electorate(e)
+
+
 def test_preference_notation(loser_electorate):
     notations = [preference_notation(t.preference) for t in loser_electorate.types]
     assert notations == ["abc", "a(bc)", "bac", "c(ab)"]
@@ -156,12 +179,6 @@ def test_dot_export_loser_electorate(loser_electorate):
     assert sum("red" in ln for ln in dot.splitlines()) == 1     # bc
     assert '"ba" [' in dot and "grey" in dot  # transient states greyed
     assert "cannot occur after 1 iterations" in dot
-
-
-def test_dot_export_plain_without_report(loser_electorate):
-    dot = export_dot(build_polling_graph(loser_electorate))
-    check_dot_syntax(dot)
-    assert "orange" not in dot and "grey" not in dot and "lightgreen" not in dot
 
 
 def test_format_analysis_loser_electorate(loser_electorate):

@@ -5,7 +5,6 @@ from pollsim import (
     CandidateSet,
     CultureKind,
     CultureSpec,
-    DuelResult,
     Electorate,
     PositionalModel,
     VoterType,
@@ -18,11 +17,18 @@ from pollsim.strategies import Strategy
 from conftest import pref
 
 
+def duel(e, rep, a, b):
+    """1 if ``a`` beats ``b`` in the majority relation of the report's
+    duel matrix, -1 if ``b`` beats ``a``, 0 on a tie."""
+    i, j = e.candidates.index(a), e.candidates.index(b)
+    return int(np.sign(rep.duel[i, j] - rep.duel[j, i]))
+
+
 def test_dominates_loser_electorate(loser_electorate):
-    domination = condorcet_analysis(loser_electorate).domination
-    assert domination[("a", "b")] is DuelResult.DOMINATES
-    assert domination[("b", "c")] is DuelResult.DOMINATES
-    assert domination[("c", "b")] is DuelResult.DOMINATED
+    rep = condorcet_analysis(loser_electorate)
+    assert duel(loser_electorate, rep, "a", "b") == 1
+    assert duel(loser_electorate, rep, "b", "c") == 1
+    assert duel(loser_electorate, rep, "c", "b") == -1
 
 
 def test_dominates_tie(abc):
@@ -30,16 +36,16 @@ def test_dominates_tie(abc):
         VoterType("Z", pref(abc, "abc"), 1.0, Strategy.LEADER_RULE),
         VoterType("Y", pref(abc, "cba"), 1.0, Strategy.LEADER_RULE),
     ))
-    assert condorcet_analysis(e).domination[("a", "c")] is DuelResult.TIE
+    assert duel(e, condorcet_analysis(e), "a", "c") == 0
 
 
 def test_condorcet_analysis_cycle_electorate(cycle_electorate):
     rep = condorcet_analysis(cycle_electorate)
     assert rep.condorcet_winner == "a"
     assert rep.condorcet_order is None  # majority cycle b > c > d > b
-    assert rep.domination[("b", "c")] is DuelResult.DOMINATES
-    assert rep.domination[("c", "d")] is DuelResult.DOMINATES
-    assert rep.domination[("d", "b")] is DuelResult.DOMINATES
+    assert duel(cycle_electorate, rep, "b", "c") == 1
+    assert duel(cycle_electorate, rep, "c", "d") == 1
+    assert duel(cycle_electorate, rep, "d", "b") == 1
     assert rep.condorcet_loser is None
 
 
@@ -61,22 +67,20 @@ def test_condorcet_analysis_single_type(abc):
 
 
 def test_domination_antisymmetry_random():
+    # the majority relation is the sign of D - D.T, antisymmetric by
+    # construction; what the duel matrix must get right is that each
+    # voter distinguishing a pair counts on exactly one side of it
     spec = CultureSpec(CultureKind.IMPARTIAL, 5, 9, Strategy.MODIFIED_LEADER_RULE, seed=3)
     from pollsim import sample_electorate
 
     for i in range(60):
         e = sample_electorate(spec, i)
-        rep = condorcet_analysis(e)
-        for a in e.candidates:
-            for b in e.candidates:
-                if a == b:
-                    continue
-                r1, r2 = rep.domination[(a, b)], rep.domination[(b, a)]
-                assert (r1, r2) in {
-                    (DuelResult.DOMINATES, DuelResult.DOMINATED),
-                    (DuelResult.DOMINATED, DuelResult.DOMINATES),
-                    (DuelResult.TIE, DuelResult.TIE),
-                }
+        d = condorcet_analysis(e).duel
+        assert not np.diag(d).any()
+        for a in range(5):
+            for b in range(5):
+                distinguishing = sum(t.weight for t in e.types if t.preference.ranks[a] != t.preference.ranks[b])
+                assert d[a, b] + d[b, a] == pytest.approx(distinguishing, rel=1e-12)
 
 
 def test_condorcet_winner_uniqueness_random():
@@ -86,10 +90,7 @@ def test_condorcet_winner_uniqueness_random():
     for i in range(200):
         e = sample_electorate(spec, i)
         rep = condorcet_analysis(e)
-        winners = [
-            a for a in e.candidates
-            if all(rep.domination[(a, b)] is DuelResult.DOMINATES for b in e.candidates if b != a)
-        ]
+        winners = [a for a in e.candidates if all(duel(e, rep, a, b) == 1 for b in e.candidates if b != a)]
         assert len(winners) <= 1
         assert (rep.condorcet_winner in winners) if winners else rep.condorcet_winner is None
 
@@ -105,7 +106,7 @@ def test_strong_mode_differs_with_ties(abc):
     assert condorcet_analysis(e).condorcet_winner == "c"
     weak = condorcet_analysis(e, strong=False)
     strong = condorcet_analysis(e, strong=True)
-    assert weak.domination[("a", "b")] is DuelResult.DOMINATES
+    assert duel(e, weak, "a", "b") == 1
     assert strong.condorcet_winner == "c"  # c beats both with 7/10 > 1/2
     # and on tie-free preferences both modes agree
     e2 = Electorate(abc, (
@@ -192,7 +193,7 @@ def test_consensual_loser_loses_every_comparable_duel():
             )
             if distinguishing > total / 2:
                 comparable += 1
-                assert rep.domination[(cl, other)] is DuelResult.DOMINATED
+                assert duel(e, rep, cl, other) == -1
     assert seen > 50 and comparable > 30
 
 
@@ -201,5 +202,5 @@ def test_consensual_loser_comparable_duels_loser_electorate(loser_electorate):
     # distinguishing majority exists against both a and b, so c loses both
     rep = condorcet_analysis(loser_electorate)
     assert rep.consensual_loser == "c"
-    assert rep.domination[("c", "a")] is DuelResult.DOMINATED
-    assert rep.domination[("c", "b")] is DuelResult.DOMINATED
+    assert duel(loser_electorate, rep, "c", "a") == -1
+    assert duel(loser_electorate, rep, "c", "b") == -1

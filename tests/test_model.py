@@ -11,7 +11,6 @@ from pollsim import (
     VoterType,
     is_sincere,
     outcome_from_tally,
-    sincere_ballots,
     tally,
 )
 from pollsim.model import is_weakly_sincere
@@ -80,27 +79,11 @@ def test_is_sincere(abcd):
     assert is_weakly_sincere(p, frozenset("abcd"))
 
 
-def test_sincere_ballots(abcd, abc):
-    assert sincere_ballots(pref(abcd, "a(bc)d")) == [
-        frozenset(),
-        frozenset("a"),
-        frozenset("abc"),
-        frozenset("abcd"),
-    ]
-    assert sincere_ballots(pref(abc, "abc")) == [
-        frozenset(),
-        frozenset("a"),
-        frozenset("ab"),
-        frozenset("abc"),
-    ]
-    assert sincere_ballots(pref(abc, "(abc)")) == [frozenset(), frozenset("abc")]
-
-
 def test_every_sincere_ballot_is_sincere(abcd):
     for notation in ["abcd", "a(bc)d", "(ab)(cd)", "(abcd)", "d(abc)", "(abc)d"]:
         p = pref(abcd, notation)
-        for ballot in sincere_ballots(p):
-            assert is_sincere(p, ballot)
+        for k in range(len(p.groups) + 1):  # every prefix union of the tie-groups
+            assert is_sincere(p, frozenset().union(*p.groups[:k]))
 
 
 def test_tally_consensual_loser_example(loser_electorate):

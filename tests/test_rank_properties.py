@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from pollsim import (
     CandidateSet,
-    DuelResult,
     Electorate,
     PollState,
     Preference,
@@ -91,20 +90,22 @@ def test_graph_views_agree_with_successor_map(e):
     g = build_polling_graph(e)
     succ = g.successor
     assert g.states == tuple(all_states(e))
-    assert set(succ) == set(g.cycle_index) == set(g.states)
+    assert set(succ) == set(g.states)
+    names = e.candidates.names
+    n = len(names)
+    label = {s: g.label[names.index(s.winner) * n + names.index(s.runner_up)] for s in g.states}
     on_cycle = {s: k for k, cyc in enumerate(g.cycles) for s in cyc}
     assert len(on_cycle) == sum(len(cyc) for cyc in g.cycles)
     for cyc in g.cycles:
         assert [succ[s] for s in cyc] == [*cyc[1:], cyc[0]]
-    n = len(e.candidates)
     for s in g.states:
         t = s
         for _ in range(n * (n - 1)):
             t = succ[t]
-        assert on_cycle[t] == g.cycle_index[s]
+        assert on_cycle[t] == label[s]
     assert sorted(g.basin) == list(range(len(g.cycles)))
     for k, members in g.basin.items():
-        assert members == {s for s in g.states if g.cycle_index[s] == k}
+        assert members == {s for s in g.states if label[s] == k}
     dyn = classify(g, condorcet_analysis(e))
     assert [c.basin_size for c in dyn.cycles] == [len(g.basin[k]) for k in range(len(g.cycles))]
 
@@ -120,16 +121,11 @@ def _reference_report(e: Electorate, strong: bool) -> dict:
     def beats(a, b):
         return support(a, b) > (total / 2 if strong else support(b, a))
 
-    def duel(a, b):
-        if support(a, b) > support(b, a):
-            return DuelResult.DOMINATES
-        return DuelResult.DOMINATED if support(a, b) < support(b, a) else DuelResult.TIE
-
     def ranked_last(t, c):
         return t.preference.rank_of(c) == max(t.preference.ranks)
 
     return {
-        "domination": {(a, b): duel(a, b) for a in names for b in names if a != b},
+        "majority": [[support(a, b) > support(b, a) for b in names] for a in names],
         "winner": next((a for a in names if all(beats(a, b) for b in names if b != a)), None),
         "loser": next((a for a in names if all(beats(b, a) for b in names if b != a)), None),
         "consensual": next(
@@ -147,7 +143,7 @@ def _reference_report(e: Electorate, strong: bool) -> dict:
 def test_condorcet_report_matches_pairwise_reference(e, strong):
     rep = condorcet_analysis(e, strong=strong)
     got = {
-        "domination": rep.domination,
+        "majority": (rep.duel > rep.duel.T).tolist(),
         "winner": rep.condorcet_winner,
         "loser": rep.condorcet_loser,
         "consensual": rep.consensual_loser,
