@@ -8,15 +8,20 @@ File grammar (one statement per line, ``#`` starts a comment line)::
 
 ``>`` separates tie-groups from most to least preferred, ``=`` joins
 tied candidates, the number is the voter weight, and the optional
-strategy is LR or MLR (default MLR).  A candidate name is one token
-without ``>`` or ``=``; a type name is not blank, holds no ``:`` or line
-break and no whitespace at either end.  `serialize_electorate` refuses
-other names, which would not read back.
+strategy is LR or MLR (default MLR).  A line splits at its first ``:``;
+the first word before it is the keyword, and the rest is the name, which
+only ``type`` takes.  A candidate name is one token without ``>`` or
+``=``; a type name is not blank, holds no ``:`` or line break and no
+whitespace at either end.  `serialize_electorate` refuses other names,
+which would not read back.  The parser checks this syntax; the model's
+constructors check meaning (distinct names, complete preferences,
+weights), and `parse_electorate` raises their errors again as
+`ParseError` at the token concerned.
 """
 
 from __future__ import annotations
 
-import math
+import re
 
 from .dynamics import DynamicsReport, PollingGraph, PollState
 from .majority import CondorcetReport
@@ -45,86 +50,78 @@ def _bad_type_name(names) -> str | None:  # the first name that a type line woul
     return next((n for n in names if n != n.strip() or ":" in n or n.splitlines() != [n]), None)
 
 
+_HEAD = re.compile(r"(\S*)\s*(.*?)\s*")  # the text before a statement's ':' -> keyword, name
+
+
 def parse_electorate(text: str) -> Electorate:
     candidates: CandidateSet | None = None
-    types: list[VoterType] = []
-    names_seen: set[str] = set()
+    types: dict[str, VoterType] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("candidates:"):
+        head, colon, body = line.partition(":")
+        keyword, name = _HEAD.fullmatch(head).groups()
+        if keyword == "candidates" and not name:
             if candidates is not None:
-                raise _fail(lineno, raw, "candidates:", "duplicate candidates declaration")
-            names = line[len("candidates:"):].split()
-            if not names:
-                raise _fail(lineno, raw, "candidates:", "empty candidates declaration")
-            if len(set(names)) != len(names):
-                raise _fail(lineno, raw, names[0], "duplicate candidate in declaration")
+                raise _fail(lineno, raw, "candidates", "duplicate candidates declaration")
+            names = body.split()
             if (bad := _bad_candidate_name(names)) is not None:
                 raise _fail(lineno, raw, bad, f"candidate name {bad!r} contains '>' or '='")
-            candidates = CandidateSet(tuple(names))
-            continue
-        if line.startswith("type"):
-            if candidates is None:
-                raise _fail(lineno, raw, "type", "candidates must be declared before types")
-            head, _, rest = line.partition(":")
-            if not rest:
-                raise _fail(lineno, raw, head, "missing ':' after type name")
-            tname = head[len("type"):].strip()
-            if not tname:
-                raise _fail(lineno, raw, "type", "missing type name")
-            if tname in names_seen:
-                raise _fail(lineno, raw, tname, f"duplicate type {tname!r}")
-            fields = rest.split()
-            if len(fields) < 2:
-                raise _fail(lineno, raw, rest.strip() or ":", "incomplete type declaration (need preference and weight)")
-            if len(fields) > 3:
-                raise _fail(lineno, raw, fields[3], "too many fields in type declaration")
-            pref_tok, weight_tok = fields[0], fields[1]
-            strat_tok = fields[2] if len(fields) == 3 else "MLR"
-
-            groups: list[list[str]] = []
-            for group_tok in pref_tok.split(">"):
-                names = group_tok.split("=") if group_tok else [""]
-                if any(not n for n in names):
-                    raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)")
-                groups.append(names)
-            flat = [n for g in groups for n in g]
-            for n in flat:
-                if n not in candidates:
-                    raise _fail(lineno, raw, n, f"unknown candidate {n!r}")
-            if len(set(flat)) != len(flat):
-                raise _fail(lineno, raw, pref_tok, "candidate repeated in preference")
-            if len(flat) != len(candidates):
-                missing = [n for n in candidates if n not in flat]
-                raise _fail(lineno, raw, pref_tok, f"incomplete preference (missing {', '.join(missing)})")
-
             try:
-                weight = float(weight_tok)
-            except ValueError:
-                raise _fail(lineno, raw, weight_tok, f"malformed number {weight_tok!r}") from None
-            if not math.isfinite(weight) or weight < 0:
-                raise _fail(lineno, raw, weight_tok, "weight must be a finite non-negative number")
-
-            if strat_tok == "LR":
-                strategy = Strategy.LEADER_RULE
-            elif strat_tok == "MLR":
-                strategy = Strategy.MODIFIED_LEADER_RULE
-            else:
-                raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)")
-
-            names_seen.add(tname)
-            types.append(VoterType(tname, Preference.from_groups(candidates, groups), weight, strategy))
+                candidates = CandidateSet(tuple(names))
+            except ValueError as exc:
+                raise _fail(lineno, raw, "candidates", str(exc)) from None
             continue
-        raise _fail(lineno, raw, line.split()[0], "unrecognized line")
+        if keyword != "type":
+            raise _fail(lineno, raw, line.split()[0], "unrecognized line")
+        if candidates is None:
+            raise _fail(lineno, raw, "type", "candidates must be declared before types")
+        if not colon:
+            raise _fail(lineno, raw, head, "missing ':' after type name")
+        if not name:
+            raise _fail(lineno, raw, "type", "missing type name")
+        if name in types:
+            raise _fail(lineno, raw, name, f"duplicate type {name!r}")
+        fields = body.split()
+        if len(fields) < 2:
+            raise _fail(lineno, raw, body.strip() or ":", "incomplete type declaration (need preference and weight)")
+        if len(fields) > 3:
+            raise _fail(lineno, raw, fields[3], "too many fields in type declaration")
+        pref_tok, weight_tok, strat_tok = fields if len(fields) == 3 else (*fields, "MLR")
+
+        groups = [group.split("=") for group in pref_tok.split(">")]
+        for n in (n for group in groups for n in group):
+            if not n:
+                raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)")
+            if n not in candidates:
+                raise _fail(lineno, raw, n, f"unknown candidate {n!r}")
+        try:
+            preference = Preference.from_groups(candidates, groups)
+        except ValueError as exc:
+            raise _fail(lineno, raw, pref_tok, str(exc)) from None
+        try:
+            weight = float(weight_tok)
+        except ValueError:
+            raise _fail(lineno, raw, weight_tok, f"malformed number {weight_tok!r}") from None
+        try:
+            strategy = Strategy(strat_tok)
+        except ValueError:
+            raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)") from None
+        try:
+            types[name] = VoterType(name, preference, weight, strategy)
+        except ValueError as exc:
+            raise _fail(lineno, raw, weight_tok, str(exc)) from None
 
     if candidates is None:
         raise ParseError(1, 1, "no candidates declaration")
     if not types:
         raise ParseError(1, 1, "no voter types declared")
-    return Electorate(candidates, tuple(types))
+    try:
+        return Electorate(candidates, tuple(types.values()))
+    except ValueError as exc:
+        raise ParseError(1, 1, str(exc)) from None
 
 
 def _weight_str(w: float) -> str:

@@ -116,8 +116,3 @@ def sample_region_a1(rng: np.random.Generator) -> tuple[float, float]:
     z = 5 / 6 + rng.random() * (1 / 6)
     lo = z - 1 / 6
     return (lo + rng.random() * (1 - lo), z)
-
-
-def sample_region_a2(rng: np.random.Generator) -> tuple[float, float]:
-    x = rng.random() * (1 / 6)
-    return (x, rng.random() * (x + 1 / 6))

@@ -256,6 +256,7 @@ def _period_by_z_array(text: str) -> tuple[int, int] | None:
 
 _PROBES = 64  # letter positions each candidate period is tested at first
 _BUDGET = 8  # letters compared in full checks, per letter of the word
+_LCM_16 = math.lcm(*range(1, 17))
 
 
 def _period_by_filter(data: bytes) -> tuple[int, int] | None | bool:
@@ -263,12 +264,17 @@ def _period_by_filter(data: bytes) -> tuple[int, int] | None | bool:
     checks would compare more than _BUDGET * n letters (as on a^n b).
     With limit = n // 3, the suffix from ``limit`` is p-periodic exactly
     when data[limit:n-p] == data[limit+p:n]; candidates p = 1..limit are
-    first filtered at up to _PROBES positions i in [limit, n - limit)."""
+    first filtered at up to _PROBES positions i in [limit, n - limit), at
+    a stride coprime to every m <= 16: a planar word has ``a`` at every
+    odd position, and an even stride would leave every even p alive."""
     n = len(data)
     limit = n // 3
     arr = np.frombuffer(data, dtype=np.uint8)
     alive = np.ones(limit, dtype=bool)  # alive[p - 1]: p is still a candidate
-    for i in range(limit, n - limit, -(-(n - 2 * limit) // _PROBES)):
+    stride = -(-(n - 2 * limit) // _PROBES)
+    while math.gcd(stride, _LCM_16) != 1:
+        stride += 1
+    for i in range(limit, n - limit, stride):
         alive &= arr[i + 1:i + limit + 1] == arr[i]
     view, budget = memoryview(data), _BUDGET * n
     for p in (np.flatnonzero(alive) + 1).tolist():

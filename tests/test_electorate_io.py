@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pollsim import (
     CandidateSet,
@@ -102,6 +104,35 @@ def test_parse_diagnostics(text, message):
         parse_electorate(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("candidates: a b\ntyped: a>b 1", 2),  # before, read as a type named "d"
+    ("candidates: a b\ntypeZ: b>a 2", 2),
+    ("candidates: a b\ntype Z: a>b 1\n: a b", 3),
+    ("candidates foo: a b\ntype Z: a>b 1", 1),
+])
+def test_a_statement_keyword_is_a_whole_word(text, line):
+    with pytest.raises(ParseError, match="unrecognized line") as exc:
+        parse_electorate(text)
+    assert exc.value.line == line
+
+
+def test_any_whitespace_ends_the_keyword():
+    e = parse_electorate("candidates:\ta b\ntype\tZ  1:\ta>b 1")
+    assert [t.name for t in e.types] == ["Z  1"]
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("candidates: a b\ntype Z: a>b 0\ntype W: b>a 0", "total weight must be positive", (1, 1)),
+    ("candidates: a b\ntype Z: a>b nan", "finite", (2, len("type Z: a>b ") + 1)),
+    ("candidates: a b\ntype Z: a>b=a 1", "repeated", (2, len("type Z: ") + 1)),
+    ("candidates:", "non-empty", (1, 1)),
+])
+def test_model_errors_are_placed(text, message, position):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_electorate(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def test_parse_error_carries_position():
     try:
         parse_electorate("candidates: a b\ntype Z: a>q 1")
@@ -147,6 +178,59 @@ def test_serialized_names_read_back_or_are_refused(candidate, type_name, bad):
     else:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             serialize_electorate(e)
+
+
+# Texts from the grammar's fragments: a well-formed electorate over a b c,
+# with at most one line of any fragments inserted anywhere.
+_FRAGMENTS = ["candidates", "type", "typed", "a", "b", "c", "Z", "W", ":", ">", "=",
+              "0", "-1", "nan", "inf", "1.5", "2", "LR", "MLR", "XX", "#"]
+_SEP = st.sampled_from(["", " ", "\t"])
+
+
+def _preference(names, ops):
+    return names[0] + "".join(op + n for op, n in zip(ops, names[1:]))
+
+
+_good_body = st.builds(
+    lambda names, ops, weight, strategy: f"{_preference(names, ops)} {weight}{strategy}",
+    st.permutations("abc"), st.lists(st.sampled_from(">="), min_size=2, max_size=2),
+    st.sampled_from(["0", "1.5", "2"]), st.sampled_from(["", " LR", " MLR"]),
+)
+_good_types = st.lists(st.tuples(st.sampled_from([" ", "\t"]), _good_body), max_size=4).map(
+    lambda lines: [f"type{sep}T{i}: {body}" for i, (sep, body) in enumerate(lines)])
+_any_line = st.one_of(
+    st.lists(st.sampled_from("abc"), max_size=4).map(lambda names: "candidates: " + " ".join(names)),
+    st.builds(
+        lambda kw, sep, name, names, ops, weight, strategy: f"{kw}{sep}{name}: {_preference(names, ops)} {weight}{strategy}",
+        st.sampled_from(["type", "typed"]), _SEP, st.sampled_from(["Z", "T0", ""]),
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=4), st.lists(st.sampled_from(">="), min_size=3, max_size=3),
+        st.sampled_from(["0", "-1", "nan", "inf", "1.5", "2"]), st.sampled_from(["", " LR", " MLR", " XX"]),
+    ),
+    st.lists(st.tuples(_SEP, st.sampled_from(_FRAGMENTS)), max_size=8).map(
+        lambda parts: "".join(sep + frag for sep, frag in parts)),
+    st.sampled_from(["", "# note", "\t", ": a b"]),
+)
+_text = st.builds(
+    lambda lines, extra, at: "\n".join(lines[:at] + extra + lines[at:]),
+    _good_types.map(lambda types: ["candidates: a b c", *types]), st.lists(_any_line, max_size=1), st.integers(0, 5),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_text)
+@example("candidates: a b\ntype Z: a>b 0")
+@example("candidates: a b\ntyped: a>b 1")
+def test_a_text_parses_and_round_trips_or_fails_at_a_position(text):
+    try:
+        e = parse_electorate(text)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+        return
+    heads = [ln.strip().partition(":")[0].split() for ln in text.splitlines()]
+    keywords = [words[0] for words in heads if words and not words[0].startswith("#")]
+    assert set(keywords) <= {"candidates", "type"}
+    assert len(e.types) == keywords.count("type")
+    assert parse_electorate(serialize_electorate(e)) == e
 
 
 def test_preference_notation(loser_electorate):

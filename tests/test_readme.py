@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from pollsim import parse_electorate
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
@@ -41,3 +43,8 @@ def test_tent_entropy_block(capsys):
     ns = run_block(BLOCKS[2])
     assert ns["fit"].slope == pytest.approx(math.log(2), abs=0.01)
     assert capsys.readouterr().out == f"{ns['fit'].slope}\n"
+
+
+def test_electorate_file_block_parses():
+    block = re.search(r"## Electorate files\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    assert [t.name for t in parse_electorate(block).types] == ["Z", "W"]

@@ -207,8 +207,21 @@ def eventually_periodic(draw):
     return word[:len(word) - draw(st.integers(0, len(block) - 1))]  # may end mid-block
 
 
+def residue_word(seed, n, m, r):
+    """n letters drawn from "abc", then ``a`` at every position p with p % m == r."""
+    letters = np.frombuffer(b"abc", dtype=np.uint8)[np.random.default_rng(seed).integers(0, 3, size=n)]
+    letters[r::m] = ord("a")
+    return letters.tobytes().decode("ascii")
+
+
+@st.composite
+def residue_words(draw):
+    m = draw(st.integers(2, 8))
+    return residue_word(draw(st.integers(0, 2**32 - 1)), draw(st.integers(3, 3000)), m, draw(st.integers(0, m - 1)))
+
+
 @settings(deadline=None, max_examples=500)
-@given(st.one_of(eventually_periodic(), st.text("abc", max_size=100), st.text("ab", max_size=3)))
+@given(st.one_of(eventually_periodic(), residue_words(), st.text("abc", max_size=100), st.text("ab", max_size=3)))
 @example("aab" * 7 + "b")
 @example("é" + "ab" * 10)  # not ASCII: the Z-array path
 def test_period_search_equals_z_array_reference(word):
@@ -222,6 +235,20 @@ def test_period_search_falls_back_on_a_n_b():
     assert wordstats._period_by_filter(word.encode("ascii")) is False
     assert detect_eventual_period(word) is None
     assert wordstats._period_by_z_array(word) is None
+
+
+def test_residue_and_planar_words_need_no_z_array(monkeypatch):
+    # 161,280 = 3 * 64 * 840 letters: a stride of n / 192 = 840 would
+    # leave every multiple of m alive on each residue word below
+    n = 161_280
+    words = [residue_word(m, n, m, r) for m in range(2, 9) for r in (0, m - 1)]
+    words += [coin_word(1000, seed=5) + block * (n // len(block)) for block in ("ab", "abc", PERIODIC_BLOCK)]
+    words.append(winners_word(build_planar_map(), (0.5, 0.5), 2**20).letters)
+    reference = [wordstats._period_by_z_array(w) for w in words]
+    calls = []
+    monkeypatch.setattr(wordstats, "_period_by_z_array", lambda text: calls.append(text))
+    assert [detect_eventual_period(w) for w in words] == reference
+    assert calls == []
 
 
 def test_period_search_on_long_words():
