@@ -63,14 +63,12 @@ from .behaviors import (
     safety,
 )
 from .wordstats import (
-    Census,
     EntropyFit,
     EntropyProfile,
     WinnersWord,
     detect_eventual_period,
     ks_entropy_estimate,
     ks_profile,
-    subword_census,
     winners_word,
 )
 from .electorate_io import (

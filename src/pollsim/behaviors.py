@@ -262,7 +262,10 @@ class TentModel:
 
     def advance(self, z):
         """The winner at z and the tent image of z, from one doubling of z;
-        `winner` and `step` return its two halves."""
+        `winner` and `step` return its two halves.  Refuses z outside
+        [0, 1], NaN included."""
+        if not 0 <= z <= 1:
+            raise ValueError(f"tent state {z} lies outside [0, 1]")
         if isinstance(z, Fraction):
             num, den = z.numerator, z.denominator
             two = 2 * num

@@ -209,8 +209,10 @@ def _weights(text: str) -> tuple[float, float, float, float]:
     return nz, ny, nx, nw
 
 
-def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> None:
-    models = ["twobloc", "reluctance"] + (["tent"] if with_tent else [])
+def _add_planar_flags(sub: argparse.ArgumentParser, orbit: bool = True) -> None:
+    """The model flags; an ``orbit`` command also runs the tent model from
+    ``--start`` or a ``--seed``-drawn start."""
+    models = ["twobloc", "reluctance"] + (["tent"] if orbit else [])
     sub.add_argument("--model", choices=models, required=True)
     sub.add_argument("--p", type=float, default=0.85, help="adjusting fraction (twobloc)")
     sub.add_argument("--theta", type=float, default=0.04, help="margin threshold (twobloc)")
@@ -224,6 +226,8 @@ def _add_planar_flags(sub: argparse.ArgumentParser, with_tent: bool = True) -> N
     sub.add_argument("--lam", type=float, default=45.0, help="rational collaboration steepness")
     sub.add_argument("--weights", type=_weights, default=(3.0, 1.0, 3.0, 5.0),
                      help="reluctance weights nZ,nY,nX,nW")
+    if not orbit:
+        return
     sub.add_argument("--start", default=None, help="x,z in the unit square (planar) or a rational in [0, 1] like 2/5 (tent)")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("grid", help="grid-of-orbits scatter data")
-    _add_planar_flags(p, with_tent=False)
+    _add_planar_flags(p, orbit=False)
     p.add_argument("--res", type=int, default=200)
     p.add_argument("--iters", type=int, default=8)
     p.add_argument("--out", default=None)

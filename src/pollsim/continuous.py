@@ -406,10 +406,6 @@ class PeriodicOrbit:
     states: tuple
     winners: tuple[str, ...]
 
-    @property
-    def period(self) -> int:
-        return len(self.states)
-
 
 def find_periodic_orbit(
     dynamics: ContinuousDynamics,

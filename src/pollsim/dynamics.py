@@ -178,7 +178,6 @@ class CycleReport:
     states: tuple[PollState, ...]
     winners: tuple[Candidate, ...]
     period: int
-    trivial: bool
     bad: bool | None
     basin_size: int
 
@@ -203,14 +202,12 @@ def classify(graph: PollingGraph, report: CondorcetReport) -> DynamicsReport:
     cycle_reports = []
     for k, cyc in enumerate(graph.cycles):
         winners = tuple(s.winner for s in cyc)
-        trivial = len(set(winners)) == 1
         bad = None if cw is None else any(w != cw for w in winners)
         cycle_reports.append(
             CycleReport(
                 states=cyc,
                 winners=winners,
                 period=len(cyc),
-                trivial=trivial,
                 bad=bad,
                 basin_size=graph.label.count(k),
             )

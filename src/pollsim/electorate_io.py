@@ -37,9 +37,15 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _fail(lineno: int, line: str, token: str, message: str) -> ParseError:
-    col = line.find(token) + 1 if token and token in line else 1
-    return ParseError(lineno, col, message)
+_FIELD = re.compile(r"\S+")
+
+
+def _fail(lineno: int, line: str, token: str, message: str, field: int | None = None) -> ParseError:
+    """The error at ``token``'s first column in ``line`` (1 when absent).  A
+    token of the body names the ``field`` after the first ':' that holds it,
+    so that a copy in the type name or an earlier field does not place it."""
+    start = 0 if field is None else list(_FIELD.finditer(line, line.index(":") + 1))[field].start()
+    return ParseError(lineno, max(line.find(token, start), 0) + 1, message)
 
 
 def _bad_candidate_name(names) -> str | None:  # the first name that is not one token of a type line
@@ -68,7 +74,7 @@ def parse_electorate(text: str) -> Electorate:
                 raise _fail(lineno, raw, "candidates", "duplicate candidates declaration")
             names = body.split()
             if (bad := _bad_candidate_name(names)) is not None:
-                raise _fail(lineno, raw, bad, f"candidate name {bad!r} contains '>' or '='")
+                raise _fail(lineno, raw, bad, f"candidate name {bad!r} contains '>' or '='", names.index(bad))
             try:
                 candidates = CandidateSet(tuple(names))
             except ValueError as exc:
@@ -86,33 +92,34 @@ def parse_electorate(text: str) -> Electorate:
             raise _fail(lineno, raw, name, f"duplicate type {name!r}")
         fields = body.split()
         if len(fields) < 2:
-            raise _fail(lineno, raw, body.strip() or ":", "incomplete type declaration (need preference and weight)")
+            raise _fail(lineno, raw, body.strip() or ":", "incomplete type declaration (need preference and weight)",
+                        0 if fields else None)
         if len(fields) > 3:
-            raise _fail(lineno, raw, fields[3], "too many fields in type declaration")
+            raise _fail(lineno, raw, fields[3], "too many fields in type declaration", 3)
         pref_tok, weight_tok, strat_tok = fields if len(fields) == 3 else (*fields, "MLR")
 
         groups = [group.split("=") for group in pref_tok.split(">")]
         for n in (n for group in groups for n in group):
             if not n:
-                raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)")
+                raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)", 0)
             if n not in candidates:
-                raise _fail(lineno, raw, n, f"unknown candidate {n!r}")
+                raise _fail(lineno, raw, n, f"unknown candidate {n!r}", 0)
         try:
             preference = Preference.from_groups(candidates, groups)
         except ValueError as exc:
-            raise _fail(lineno, raw, pref_tok, str(exc)) from None
+            raise _fail(lineno, raw, pref_tok, str(exc), 0) from None
         try:
             weight = float(weight_tok)
         except ValueError:
-            raise _fail(lineno, raw, weight_tok, f"malformed number {weight_tok!r}") from None
+            raise _fail(lineno, raw, weight_tok, f"malformed number {weight_tok!r}", 1) from None
         try:
             strategy = Strategy(strat_tok)
         except ValueError:
-            raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)") from None
+            raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)", 2) from None
         try:
             types[name] = VoterType(name, preference, weight, strategy)
         except ValueError as exc:
-            raise _fail(lineno, raw, weight_tok, str(exc)) from None
+            raise _fail(lineno, raw, weight_tok, str(exc), 1) from None
 
     if candidates is None:
         raise ParseError(1, 1, "no candidates declaration")

@@ -1,6 +1,6 @@
-"""Symbolic statistics of winners words: subword census, Shannon block
-entropies, least-squares entropy-rate estimation, and eventual-period
-detection.
+"""Symbolic statistics of winners words: block entropies and
+distinct-factor counts, least-squares entropy-rate estimation, and
+eventual-period detection.
 
 Natural logarithms throughout, so a fair binary word has entropy rate
 log 2 and an alphabet of size N caps the rate at log N.
@@ -46,19 +46,19 @@ def winners_word(source, start, n: int) -> WinnersWord:
     return WinnersWord("".join(letters))
 
 
-def _window_codes(text: str, n: int, max_block: int, name: str):
+def _window_codes(text: str, n: int, max_block: int):
     """Yield the exact integer codes of all length-1, 2, ..., ``max_block``
     windows of ``text``, the first ``n`` letters of a word.  Codes are
     injective (base**max_block fits in 64 bits), so no collision handling
     is needed.  The reference for `_packed_codes`, and `ks_profile`'s path
     for windows too wide to pack into 64 bits."""
     if not 1 <= max_block <= n:
-        raise ValueError(f"need 1 <= {name} <= n")
+        raise ValueError("need 1 <= max_block <= n")
     alphabet, codes = np.unique(np.frombuffer(text.encode("ascii"), dtype=np.uint8), return_inverse=True)
     codes = codes.astype(np.int64)
     base = max(2, len(alphabet))
     if base**max_block > 2**62:
-        raise ValueError(f"{name} too long for exact window codes")
+        raise ValueError("max_block too long for exact window codes")
     cur = codes
     yield cur
     for k in range(1, max_block):
@@ -66,7 +66,7 @@ def _window_codes(text: str, n: int, max_block: int, name: str):
         yield cur
 
 
-def _packed_codes(text: str, n: int, block: int, name: str):
+def _packed_codes(text: str, n: int, block: int):
     """(codes, bits): the length-``block`` window from each position of
     ``text`` packed into one unsigned integer with ``bits`` bits per
     letter, first letter highest.  A letter's digit is its rank 1..A among
@@ -74,14 +74,14 @@ def _packed_codes(text: str, n: int, block: int, name: str):
     as the windows do.  Codes is None when the windows need more than 64
     bits.  Raises the errors `_window_codes` raises, in its order."""
     if not 1 <= block <= n:
-        raise ValueError(f"need 1 <= {name} <= n")
+        raise ValueError("need 1 <= max_block <= n")
     arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     seen = np.zeros(256, dtype=bool)
     seen[arr] = True
     lut = np.cumsum(seen)
     letters = int(lut[-1])
     if max(2, letters) ** block > 2**62:
-        raise ValueError(f"{name} too long for exact window codes")
+        raise ValueError("max_block too long for exact window codes")
     bits = letters.bit_length()
     if bits * block > 64:
         return None, bits
@@ -103,27 +103,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-@dataclass(frozen=True)
-class Census:
-    counts: dict
-    distinct: int
-    windows: int
-
-
-def subword_census(text: str, block: int, n: int | None = None) -> Census:
-    """Occurrence counts of every length-``block`` factor of the first
-    ``n`` letters, 1 <= ``n`` <= ``len(text)``."""
-    n = len(text) if n is None else n
-    if not 1 <= n <= len(text):
-        raise ValueError("need 1 <= n <= len(text)")
-    text = text[:n]
-    for codes in _window_codes(text, n, block, "block"):
-        pass  # keep the codes of the length-``block`` windows
-    values, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    decoded = {text[i:i + block]: c for i, c in zip(first.tolist(), counts.tolist())}
-    return Census(decoded, len(values), n - block + 1)
-
-
 def _entropy_from_counts(counts: np.ndarray) -> float:
     w = counts.sum()
     p = counts / w
@@ -138,7 +117,6 @@ class EntropyProfile:
     blocks: tuple[int, ...]
     entropy: tuple[float, ...]
     distinct: tuple[int, ...]
-    n: int
 
     @property
     def log_distinct(self) -> tuple[float, ...]:
@@ -160,9 +138,9 @@ def ks_profile(text: str, n: int | None = None, max_block: int = 16) -> EntropyP
     S(``max_block``) leaves fewer than 10 windows per factor."""
     n = len(text) if n is None else n
     text = text[:n]
-    codes, bits = _packed_codes(text, n, max_block, "max_block")
+    codes, bits = _packed_codes(text, n, max_block)
     if codes is None:
-        counts = [np.unique(c, return_counts=True)[1] for c in _window_codes(text, n, max_block, "max_block")]
+        counts = [np.unique(c, return_counts=True)[1] for c in _window_codes(text, n, max_block)]
     else:
         codes.sort()
         last = codes.dtype.type((1 << bits) - 1)  # the last letter's digit
@@ -184,7 +162,7 @@ def ks_profile(text: str, n: int | None = None, max_block: int = 16) -> EntropyP
             "block entropies at the top lengths will be biased low",
             stacklevel=2,
         )
-    return EntropyProfile(tuple(range(1, max_block + 1)), tuple(entropy), tuple(distinct), n)
+    return EntropyProfile(tuple(range(1, max_block + 1)), tuple(entropy), tuple(distinct))
 
 
 @dataclass(frozen=True)

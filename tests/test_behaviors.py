@@ -125,6 +125,14 @@ def test_tent_endpoints_and_period_two():
     assert word == "cb" * 6
 
 
+@pytest.mark.parametrize("z", [Fraction(3, 2), Fraction(-1, 3), 1.5, -0.25, float("nan"), float("inf")])
+def test_tent_refuses_a_state_outside_the_unit_interval(z):
+    tent = build_tent_model()
+    for method in (tent.advance, tent.step, tent.winner):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            method(z)
+
+
 def test_tent_float_and_exact_agree_short_run():
     tent = build_tent_model()
     z_f, z_q = 0.375, Fraction(3, 8)

@@ -1,12 +1,13 @@
 """Command-line smoke tests: exit codes, CSV determinism, and the
 documented output claims."""
 
+import argparse
 import math
 from pathlib import Path
 
 import pytest
 
-from pollsim.cli import main
+from pollsim.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,3 +192,50 @@ def test_mc_jobs_below_one_exits_2(capsys, jobs):
     code, out, err = run(capsys, "mc", "--culture", "impartial", "--strategy", "lr", "--candidates", "3",
                          "--types", "4", "--trials", "10", f"--jobs={jobs}")
     assert code == 2 and out == "" and "--jobs" in err
+
+
+@pytest.mark.parametrize("flag", ["--start=0.5,0.5", "--seed=3"])
+def test_grid_refuses_the_orbit_start_flags(capsys, flag):
+    code, out, err = run(capsys, "grid", "--model", "twobloc", "--res", "2", "--iters", "1", flag)
+    assert code == 2 and out == "" and flag.partition("=")[0] in err
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records the attributes read from it in ``_reads``."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _runs(tmp_path):
+    """Tiny runs of each subcommand that together take every branch that
+    reads a flag: each model, both collaboration laws, both cultures."""
+    out = ["--out", str(tmp_path / "out")]
+    models = [["--model", m] for m in ("twobloc", "reluctance", "tent")]
+    models.append(["--model", "reluctance", "--collab", "rational"])
+    yield ["analyze", str(DATA / "consensual_loser.txt"), "--dot", str(tmp_path / "g.dot")]
+    yield ["graph", str(DATA / "lr_cycle.txt"), "--dot", str(tmp_path / "g.dot")]
+    for culture in ("impartial", "spatial"):
+        yield ["mc", "--culture", culture, "--strategy", "lr", "--candidates", "3", "--types", "3",
+               "--trials", "2", *out]
+    for model in models:
+        yield ["cpd-orbit", *model, "--steps", "2", *out]
+        yield ["entropy", *model, *SMALL_ENTROPY, *out]
+        if model[1] != "tent":
+            yield ["grid", *model, "--res", "2", "--iters", "1", *out]
+
+
+@pytest.mark.filterwarnings("ignore:S\\(6\\) = .* windows per factor")  # words of 100 letters
+def test_every_registered_flag_is_read(capsys, tmp_path):
+    parser = build_parser()
+    registered, read = {}, {}
+    for argv in _runs(tmp_path):
+        args = parser.parse_args(argv)
+        dests = set(vars(args)) - {"command", "fn"}
+        registered.setdefault(args.command, set()).update(dests)
+        assert args.fn(_Reads(_reads=read.setdefault(args.command, set()), **vars(args))) == 0
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(registered) == set(commands)
+    assert {c: dests - read[c] for c, dests in registered.items()} == {c: set() for c in registered}

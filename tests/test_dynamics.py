@@ -88,9 +88,9 @@ def test_cycle_electorate_classification(cycle_electorate):
     by_period = {c.period: c for c in dyn.cycles}
     assert by_period[3].bad is True
     assert set(by_period[3].winners) == {"b", "c", "d"}
-    assert by_period[3].trivial is False
+    assert len(set(by_period[3].winners)) != 1
     assert by_period[1].bad is False
-    assert by_period[1].trivial is True
+    assert len(set(by_period[1].winners)) == 1
     assert dyn.is_bad is True
 
 
@@ -239,4 +239,4 @@ def test_classify_not_bad_when_every_state_elects_winner(abc):
     assert all(g.successor[s].winner == "a" for s in g.states)
     dyn = classify(g, condorcet_analysis(e))
     assert dyn.is_bad is False
-    assert all(c.trivial for c in dyn.cycles)
+    assert all(len(set(c.winners)) == 1 for c in dyn.cycles)

@@ -133,6 +133,17 @@ def test_model_errors_are_placed(text, message, position):
     assert (exc.value.line, exc.value.column) == position
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("candidates: a b\ntype q: a>q 1", "unknown candidate 'q'", (2, len("type q: a>") + 1)),
+    ("candidates: a b\ntype MLRX: a>b MLR", "malformed number 'MLR'", (2, len("type MLRX: a>b ") + 1)),
+    ("candidates: a b\ntype Z: b>a a", "malformed number 'a'", (2, len("type Z: b>a ") + 1)),
+])
+def test_a_body_token_is_placed_in_its_own_field(text, message, position):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_electorate(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def test_parse_error_carries_position():
     try:
         parse_electorate("candidates: a b\ntype Z: a>q 1")
@@ -216,15 +227,25 @@ _text = st.builds(
 )
 
 
+# errors about a token after the line's first ':'
+_BODY_ERRORS = ("unknown candidate", "malformed number", "unknown strategy", "too many fields",
+                "malformed preference", "contains '>' or '='", "repeated", "incomplete preference", "finite")
+
+
 @settings(deadline=None, max_examples=400)
 @given(_text)
 @example("candidates: a b\ntype Z: a>b 0")
 @example("candidates: a b\ntyped: a>b 1")
+@example("candidates: a b c\ntype a: a>a 1")
+@example("candidates: a b c\ntype LR: a>b>c 1 LR LR")
 def test_a_text_parses_and_round_trips_or_fails_at_a_position(text):
     try:
         e = parse_electorate(text)
     except ParseError as exc:
         assert exc.line >= 1 and exc.column >= 1
+        if any(m in exc.message for m in _BODY_ERRORS):
+            line = text.splitlines()[exc.line - 1]
+            assert exc.column > line.index(":") + 1
         return
     heads = [ln.strip().partition(":")[0].split() for ln in text.splitlines()]
     keywords = [words[0] for words in heads if words and not words[0].startswith("#")]

@@ -15,7 +15,6 @@ from pollsim import (
     detect_eventual_period,
     ks_entropy_estimate,
     ks_profile,
-    subword_census,
     winners_word,
 )
 
@@ -29,31 +28,12 @@ def coin_word(n, seed=0):
     return "".join("ab"[b] for b in rng.integers(0, 2, size=n))
 
 
-def test_subword_census_basics():
-    c = subword_census("aaaa", 2)
-    assert c.counts == {"aa": 3} and c.distinct == 1 and c.windows == 3
-    c = subword_census("ab" * 5, 2, n=10)
-    assert c.counts == {"ab": 5, "ba": 4}
-    assert c.distinct == 2
-    with pytest.raises(ValueError):
-        subword_census("abc", 5)
-    with pytest.raises(ValueError):
-        subword_census("abc", 0)
-
-
-def test_subword_census_n_must_fit_the_word():
-    assert subword_census("abab", 2, n=4).windows == 3
-    for n in (0, 5, 10):
-        with pytest.raises(ValueError, match="n <= len"):
-            subword_census("abab", 2, n=n)
-
-
 def test_periodic_block_has_22_factors_from_length_10():
-    word = PERIODIC_BLOCK * 200
+    distinct = ks_profile(PERIODIC_BLOCK * 200, max_block=16).distinct
     for block in (10, 12, 16):
-        assert subword_census(word, block).distinct == 22
-    assert subword_census(word, 8).distinct == 21
-    assert subword_census(word, 7).distinct == 17
+        assert distinct[block - 1] == 22
+    assert distinct[8 - 1] == 21
+    assert distinct[7 - 1] == 17
 
 
 def test_ks_profile_constant_word():
@@ -81,7 +61,7 @@ def _unique_profile(text, n, max_block):
     """(entropy float.hex, distinct counts) of the reference: the
     `_window_codes` codes of each block length through `np.unique`."""
     counts = [np.unique(c, return_counts=True)[1]
-              for c in wordstats._window_codes(text[:n], n, max_block, "max_block")]
+              for c in wordstats._window_codes(text[:n], n, max_block)]
     return [wordstats._entropy_from_counts(c).hex() for c in counts], [len(c) for c in counts]
 
 
@@ -120,7 +100,7 @@ def _check_profile(word, n, max_block):
         warnings.simplefilter("always")
         p = ks_profile(word, n, max_block)
     assert ([h.hex() for h in p.entropy], list(p.distinct)) == expected
-    assert p.blocks == tuple(range(1, max_block + 1)) and p.n == n
+    assert p.blocks == tuple(range(1, max_block + 1))
     sparse = expected[1][-1] > (n - max_block + 1) / 10
     assert [w.category for w in caught] == [UserWarning] * sparse
 
@@ -165,7 +145,7 @@ def test_ks_fit_exact_line():
     from pollsim.wordstats import EntropyProfile
 
     blocks = tuple(range(1, 17))
-    profile = EntropyProfile(blocks, tuple(0.3 * b for b in blocks), tuple(2**min(b, 5) for b in blocks), 1000)
+    profile = EntropyProfile(blocks, tuple(0.3 * b for b in blocks), tuple(2**min(b, 5) for b in blocks))
     fit = ks_entropy_estimate(profile, (4, 14))
     assert fit.slope == pytest.approx(0.3, abs=1e-12)
     assert fit.residual_rms == pytest.approx(0.0, abs=1e-12)
