@@ -19,7 +19,7 @@ from .model import (
     outcome_from_tally,
     tally,
 )
-from .strategies import Strategy, ballot_for, leader_rule, modified_leader_rule
+from .strategies import Strategy, ballot_for
 from .majority import (
     CondorcetReport,
     PositionalModel,

@@ -253,8 +253,6 @@ def _resolved_step(dyn: ContinuousDynamics):
     evaluated on the scores."""
     cand = dyn.electorate.candidates
     names = cand.names
-    if len(names) < 2:
-        raise ValueError("continuous dynamics needs at least two candidates")
     terms = [[] for _ in names]
     for i, vecs in enumerate(dyn._contributions):
         for j, pairs in enumerate(vecs):
@@ -322,7 +320,7 @@ def _dynamics(electorate: Electorate, rate: MarginGate) -> ContinuousDynamics:
     states = all_states(electorate)
     admissible, columns = [], []
     for t in electorate.types:
-        cast = [ballot_for(t.strategy, t.preference, s) for s in states]
+        cast = [ballot_for(t.preference, s) for s in states]
         ballots = tuple(dict.fromkeys(cast))
         admissible.append(ballots)
         columns.append([ballots.index(b) for b in cast])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .majority import CondorcetReport, duel_matrix
 from .model import Candidate, Electorate, Tally, outcome_from_tally, tally
-from .strategies import Strategy, ballot_for
+from .strategies import ballot_for
 
 
 @dataclass(frozen=True, order=True)
@@ -49,7 +49,7 @@ def all_states(electorate: Electorate) -> list[PollState]:
 
 def polling_step(electorate: Electorate, state: PollState) -> PollState:
     """One synchronized poll adjustment, computed through explicit ballots."""
-    assignment = {t.name: ballot_for(t.strategy, t.preference, state) for t in electorate.types}
+    assignment = {t.name: ballot_for(t.preference, state) for t in electorate.types}
     out = outcome_from_tally(tally(electorate, assignment))
     return PollState(out.winner, out.runner_up)
 
@@ -137,12 +137,6 @@ def build_polling_graph(electorate: Electorate, report: CondorcetReport | None =
     the ``duel`` of ``report``, a Condorcet report of this electorate, or
     computed here when no report is given."""
     n = len(electorate.candidates)
-    if n < 2:
-        raise ValueError("need at least two candidates")
-    for t in electorate.types:
-        if t.strategy is Strategy.LEADER_RULE and not t.preference.tie_free:
-            raise ValueError(f"type {t.name!r} uses the leader rule but has a tied preference")
-
     duel = duel_matrix(electorate) if report is None else report.duel
     w1, w2 = _successors(duel[None])
     succ = (w1[0] * n + w2[0]).ravel().tolist()

@@ -14,9 +14,10 @@ only ``type`` takes.  A candidate name is one token without ``>`` or
 ``=``; a type name is not blank, holds no ``:`` or line break and no
 whitespace at either end.  `serialize_electorate` refuses other names,
 which would not read back.  The parser checks this syntax; the model's
-constructors check meaning (distinct names, complete preferences,
-weights), and `parse_electorate` raises their errors again as
-`ParseError` at the token concerned.
+constructors check meaning (at least two distinct candidates, complete
+preferences, the leader rule's tie-free preference, weights), and
+`parse_electorate` raises their errors again as `ParseError` at the
+token concerned.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ class ParseError(ValueError):
 _FIELD = re.compile(r"\S+")
 
 
-def _fail(lineno: int, line: str, token: str, message: str, field: int | None = None) -> ParseError:
+def _fail(lineno: int, line: str, token: str, message: str, field: int | None = None, at: int = 0) -> ParseError:
     """The error at ``token``'s first column in ``line`` (1 when absent).  A
     token of the body names the ``field`` after the first ':' that holds it,
-    so that a copy in the type name or an earlier field does not place it."""
-    start = 0 if field is None else list(_FIELD.finditer(line, line.index(":") + 1))[field].start()
+    and ``at`` its offset in that field, so that a copy in the type name or
+    earlier in the body does not place it."""
+    start = 0 if field is None else list(_FIELD.finditer(line, line.index(":") + 1))[field].start() + at
     return ParseError(lineno, max(line.find(token, start), 0) + 1, message)
 
 
@@ -99,11 +101,13 @@ def parse_electorate(text: str) -> Electorate:
         pref_tok, weight_tok, strat_tok = fields if len(fields) == 3 else (*fields, "MLR")
 
         groups = [group.split("=") for group in pref_tok.split(">")]
-        for n in (n for group in groups for n in group):
+        parts = [n for group in groups for n in group]
+        for n in parts:
             if not n:
                 raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)", 0)
-            if n not in candidates:
-                raise _fail(lineno, raw, n, f"unknown candidate {n!r}", 0)
+            if n not in candidates:  # no earlier part equals n: each was a candidate
+                at = sum(len(m) + 1 for m in parts[:parts.index(n)])
+                raise _fail(lineno, raw, n, f"unknown candidate {n!r}", 0, at)
         try:
             preference = Preference.from_groups(candidates, groups)
         except ValueError as exc:
@@ -118,8 +122,9 @@ def parse_electorate(text: str) -> Electorate:
             raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)", 2) from None
         try:
             types[name] = VoterType(name, preference, weight, strategy)
-        except ValueError as exc:
-            raise _fail(lineno, raw, weight_tok, str(exc), 1) from None
+        except ValueError as exc:  # the strategy is checked first, then the weight
+            field = 1 if strategy.admits(preference) else 2
+            raise _fail(lineno, raw, fields[field], str(exc), field) from None
 
     if candidates is None:
         raise ParseError(1, 1, "no candidates declaration")
@@ -177,6 +182,10 @@ def _transient_heights(graph: PollingGraph) -> dict:
     return heights
 
 
+def _escaped_label(s: PollState) -> str:
+    return s.label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
     """DOT rendering of a polling graph and its classification report.
 
@@ -185,8 +194,12 @@ def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
     are light green, other states electing it are green, bad periodic
     states are orange, bad equilibria are red, and transient states that
     stop being reachable after some iteration are grey (annotated with
-    that iteration count).
+    that iteration count).  Node IDs escape ``\\`` and ``"`` when a
+    candidate name holds one.
     """
+    node_id = PollState.label.fget  # called directly, it costs no more than ``s.label``
+    if any('"' in c or "\\" in c for c in graph.electorate.candidates):
+        node_id = _escaped_label
     lines = ["digraph polling_dynamics {", "  rankdir=LR;", '  node [style=filled, fillcolor=white];']
     on_cycle = {s for cyc in graph.cycles for s in cyc}
     cw = report.condorcet_winner  # None elects no state
@@ -203,12 +216,12 @@ def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
         else:
             fill = "green" if s.winner == cw else "grey"
             attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[s] + 1} iterations"'
-        lines.append(f'  "{s.label}" [{attrs}];')
+        lines.append(f'  "{node_id(s)}" [{attrs}];')
 
     for s in graph.states:
         t = graph.successor[s]
         if t != s:
-            lines.append(f'  "{s.label}" -> "{t.label}";')
+            lines.append(f'  "{node_id(s)}" -> "{node_id(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,8 +32,8 @@ class CandidateSet:
     names: tuple[Candidate, ...]
 
     def __post_init__(self) -> None:
-        if not self.names:
-            raise ValueError("candidate set must be non-empty")
+        if len(self.names) < 2:
+            raise ValueError("need at least two candidates")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate candidate names")
 
@@ -168,6 +168,8 @@ class VoterType:
     strategy: "Strategy"
 
     def __post_init__(self) -> None:
+        if not self.strategy.admits(self.preference):
+            raise ValueError(f"type {self.name!r} uses the leader rule but has a tied preference")
         if not math.isfinite(self.weight) or self.weight < 0:
             raise ValueError(f"weight of type {self.name!r} must be finite and non-negative, got {self.weight}")
 
@@ -237,7 +239,5 @@ def tally(electorate: Electorate, assignment: Mapping[str, Ballot]) -> Tally:
 
 
 def outcome_from_tally(t: Tally) -> Outcome:
-    if len(t.candidates) < 2:
-        raise ValueError("an outcome needs at least two candidates")
     order = sorted(range(len(t.candidates)), key=lambda i: (-t.scores[i], i))
     return Outcome(t, tuple(t.candidates.names[i] for i in order))

@@ -24,6 +24,7 @@ from pollsim import (
     ReluctanceConfig,
     SafetyFunction,
     SafetyKind,
+    ballot_for,
     build_planar_map,
     build_polling_graph,
     build_tent_model,
@@ -35,7 +36,6 @@ from pollsim import (
     ks_entropy_estimate,
     ks_profile,
     median_candidate,
-    modified_leader_rule,
     run_table,
     sup_distance,
     table_csv,
@@ -537,7 +537,7 @@ def test_criterion_09a_sincerity_exhaustive():
             p = Preference.from_groups(cs, groups)
             terminal_only = all(len(g) == 1 for g in p.groups[:-1])
             for o in outcomes:
-                ballot = modified_leader_rule(p, o)
+                ballot = ballot_for(p, o)
                 checked += 1
                 if not is_weakly_sincere(p, ballot):
                     weak_failures += 1

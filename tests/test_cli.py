@@ -41,6 +41,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "unknown candidate" in err
 
 
+def test_leader_rule_with_ties_exits_2_at_its_strategy(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("candidates: a b c\ntype Z: a=b>c 1 LR\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert "line 2, column 17: type 'Z' uses the leader rule but has a tied preference" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["mc", "--nope"]) == 2
     assert main(["bogus-command"]) == 2

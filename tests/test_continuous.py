@@ -9,11 +9,9 @@ import pytest
 
 from pollsim import (
     CandidateSet,
-    Electorate,
     Fallback,
     MarginGate,
     PollState,
-    Preference,
     TwoShareView,
     build_polling_graph,
     embed_discrete,
@@ -23,7 +21,6 @@ from pollsim import (
     polling_step,
     sup_distance,
     tally,
-    VoterType,
 )
 from pollsim.presets import (
     consensual_loser_electorate,
@@ -36,7 +33,6 @@ from pollsim.presets import (
     two_bloc_dynamics,
     two_bloc_view,
 )
-from pollsim.strategies import Strategy
 
 P = 0.85
 THETA = 0.04
@@ -149,7 +145,7 @@ def test_embedding_reproduces_discrete_dynamics():
         graph = build_polling_graph(electorate)
         for s0 in graph.states:
             ballots = {
-                t.name: ballot_for(t.strategy, t.preference, s0) for t in electorate.types
+                t.name: ballot_for(t.preference, s0) for t in electorate.types
             }
             s = dyn.extreme_state(ballots)
             expected = polling_step(electorate, s0)
@@ -165,7 +161,7 @@ def test_cycle_electorate_embedded_orbit_has_period_3():
     dyn = embed_discrete(e)
     from pollsim import ballot_for
 
-    ballots = {t.name: ballot_for(t.strategy, t.preference, PollState("b", "a")) for t in e.types}
+    ballots = {t.name: ballot_for(t.preference, PollState("b", "a")) for t in e.types}
     s0 = dyn.extreme_state(ballots)
     out = dyn.outcome(s0)
     assert (out.winner, out.runner_up) == ("d", "a")
@@ -245,7 +241,7 @@ def test_orbit_rows_from_fixed_point():
     dyn = embed_discrete(e)
     from pollsim import ballot_for
 
-    ballots = {t.name: ballot_for(t.strategy, t.preference, PollState("a", "c")) for t in e.types}
+    ballots = {t.name: ballot_for(t.preference, PollState("a", "c")) for t in e.types}
     s = dyn.extreme_state(ballots)
     rows = list(orbit_rows(dyn, s, 10))
     assert "".join(w for _, _, w in rows) == "a" * 11
@@ -410,7 +406,6 @@ def test_dynamics_pickle_and_step_like_the_original(make):
 
 
 def test_dynamics_needs_two_candidates():
-    cs = CandidateSet(("a",))
-    one = Electorate(cs, (VoterType("T", Preference(cs, (0,)), 1.0, Strategy.MODIFIED_LEADER_RULE),))
-    with pytest.raises(ValueError, match="two candidates"):
-        embed_discrete(one)
+    # the candidate set refuses one candidate, so no electorate or dynamics has fewer than two
+    with pytest.raises(ValueError, match="need at least two candidates"):
+        CandidateSet(("a",))

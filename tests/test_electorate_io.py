@@ -35,8 +35,9 @@ def check_dot_syntax(text: str) -> None:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     assert lines[0] == "digraph polling_dynamics {"
     assert lines[-1] == "}"
-    node_re = re.compile(r'^"[^"]+"(\s*\[[^\]]*\])?;$')
-    edge_re = re.compile(r'^"[^"]+"\s*->\s*"[^"]+"(\s*\[[^\]]*\])?;$')
+    node_id = r'"(?:[^"\\]|\\.)+"'  # a quoted ID; \" and \\ are escapes
+    node_re = re.compile(rf'^{node_id}(\s*\[[^\]]*\])?;$')
+    edge_re = re.compile(rf'^{node_id}\s*->\s*{node_id}(\s*\[[^\]]*\])?;$')
     attr_re = re.compile(r"^(rankdir|node|edge|graph|label)\b.*;$")
     for ln in lines[1:-1]:
         if not ln:
@@ -125,7 +126,11 @@ def test_any_whitespace_ends_the_keyword():
     ("candidates: a b\ntype Z: a>b 0\ntype W: b>a 0", "total weight must be positive", (1, 1)),
     ("candidates: a b\ntype Z: a>b nan", "finite", (2, len("type Z: a>b ") + 1)),
     ("candidates: a b\ntype Z: a>b=a 1", "repeated", (2, len("type Z: ") + 1)),
-    ("candidates:", "non-empty", (1, 1)),
+    ("candidates:", "at least two candidates", (1, 1)),
+    ("candidates: a", "at least two candidates", (1, 1)),
+    ("candidates: a b c\ntype Z: a=b>c 1 LR", "uses the leader rule", (2, len("type Z: a=b>c 1 ") + 1)),
+    # the strategy is checked before the weight, so the error names the strategy field
+    ("candidates: a b c\ntype Z: a=b>c -1 LR", "uses the leader rule", (2, len("type Z: a=b>c -1 ") + 1)),
 ])
 def test_model_errors_are_placed(text, message, position):
     with pytest.raises(ParseError, match=message) as exc:
@@ -137,6 +142,7 @@ def test_model_errors_are_placed(text, message, position):
     ("candidates: a b\ntype q: a>q 1", "unknown candidate 'q'", (2, len("type q: a>") + 1)),
     ("candidates: a b\ntype MLRX: a>b MLR", "malformed number 'MLR'", (2, len("type MLRX: a>b ") + 1)),
     ("candidates: a b\ntype Z: b>a a", "malformed number 'a'", (2, len("type Z: b>a ") + 1)),
+    ("candidates: ab c\ntype Z: ab>b 1", "unknown candidate 'b'", (2, len("type Z: ab>") + 1)),
 ])
 def test_a_body_token_is_placed_in_its_own_field(text, message, position):
     with pytest.raises(ParseError, match=message) as exc:
@@ -229,7 +235,8 @@ _text = st.builds(
 
 # errors about a token after the line's first ':'
 _BODY_ERRORS = ("unknown candidate", "malformed number", "unknown strategy", "too many fields",
-                "malformed preference", "contains '>' or '='", "repeated", "incomplete preference", "finite")
+                "malformed preference", "contains '>' or '='", "repeated", "incomplete preference", "finite",
+                "uses the leader rule")
 
 
 @settings(deadline=None, max_examples=400)
@@ -284,6 +291,16 @@ def test_dot_export_loser_electorate(loser_electorate):
     assert sum("red" in ln for ln in dot.splitlines()) == 1     # bc
     assert '"ba" [' in dot and "grey" in dot  # transient states greyed
     assert "cannot occur after 1 iterations" in dot
+
+
+@pytest.mark.parametrize("names, first", [('a" b', r'"a\">b"'), ("a\\ b", r'"a\\>b"')])
+def test_dot_export_escapes_quotes_and_backslashes_in_names(names, first):
+    x, y = names.split()
+    e = parse_electorate(f"candidates: {names}\ntype Z: {x}>{y} 2\ntype W: {y}>{x} 1")
+    g = build_polling_graph(e)
+    dot = export_dot(g, classify(g, condorcet_analysis(e)))
+    check_dot_syntax(dot)
+    assert f"  {first} [fillcolor=lightgreen];" in dot.splitlines()
 
 
 def test_format_analysis_loser_electorate(loser_electorate):

@@ -1,13 +1,16 @@
 """README's Python blocks run against the library and print what they
-say: a name the README uses and the library lost fails here."""
+say, and its command lines parse: a name or flag the README uses and the
+library lost fails here."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from pollsim import parse_electorate
+from pollsim.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
@@ -48,3 +51,16 @@ def test_tent_entropy_block(capsys):
 def test_electorate_file_block_parses():
     block = re.search(r"## Electorate files\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
     assert [t.name for t in parse_electorate(block).types] == ["Z", "W"]
+
+
+def test_readme_command_lines_parse():
+    # every `pollsim ...` line of the bash blocks, `\` continuations joined; parsed, not run
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = [ln for b in blocks for ln in b.replace("\\\n", " ").splitlines() if ln.startswith("pollsim ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -24,7 +24,7 @@ def reference_step(dyn, state):
     poll = PollState(out.winner, out.runner_up)
     shares = []
     for t, ballots, point in zip(dyn.electorate.types, dyn.admissible, state):
-        j = ballots.index(ballot_for(t.strategy, t.preference, poll))
+        j = ballots.index(ballot_for(t.preference, poll))
         if p < 1.0 and point.shares[j] == 1.0:
             shares.append(point.shares)
             continue

@@ -1,11 +1,10 @@
-"""Leader rule and its tie-tolerant variant, including the exhaustive
-sincerity sweep over every tie-structure on up to five candidates."""
-
-from itertools import permutations
+"""The leader rule's ballot on tie-free and tied preferences, its domain,
+and the exhaustive sincerity sweep over every tie-structure on up to five
+candidates."""
 
 import pytest
 
-from pollsim import CandidateSet, PollState, Preference, is_sincere, leader_rule, modified_leader_rule
+from pollsim import CandidateSet, PollState, Preference, VoterType, is_sincere
 from pollsim.model import Outcome, Tally, is_weakly_sincere
 from pollsim.strategies import Strategy, ballot_for
 
@@ -18,32 +17,38 @@ def state(w, r):
 
 def test_leader_rule_cycle_electorate_examples(abcd):
     # type V (cadb) facing outcome ba approves c, a, d
-    assert leader_rule(pref(abcd, "cadb"), state("b", "a")) == frozenset("cad")
+    assert ballot_for(pref(abcd, "cadb"), state("b", "a")) == frozenset("cad")
     # type T (abcd) facing outcome da approves a, b, c
-    assert leader_rule(pref(abcd, "abcd"), state("d", "a")) == frozenset("abc")
+    assert ballot_for(pref(abcd, "abcd"), state("d", "a")) == frozenset("abc")
 
 
 def test_leader_rule_favorite_leads(abc):
-    assert leader_rule(pref(abc, "abc"), state("a", "b")) == frozenset("a")
+    assert ballot_for(pref(abc, "abc"), state("a", "b")) == frozenset("a")
 
 
 def test_leader_rule_rejects_ties(abc):
-    with pytest.raises(ValueError, match="tie-free"):
-        leader_rule(pref(abc, "a(bc)"), state("a", "b"))
+    tied = pref(abc, "a(bc)")
+    assert not Strategy.LEADER_RULE.admits(tied)
+    assert Strategy.MODIFIED_LEADER_RULE.admits(tied)
+    with pytest.raises(ValueError, match="type 'Z' uses the leader rule but has a tied preference"):
+        VoterType("Z", tied, 1.0, Strategy.LEADER_RULE)
+    # the strategy is checked before the weight
+    with pytest.raises(ValueError, match="leader rule"):
+        VoterType("Z", tied, -1.0, Strategy.LEADER_RULE)
 
 
 def test_modified_leader_rule_constant_types(abc):
     w = pref(abc, "c(ab)")
     y = pref(abc, "a(bc)")
     for s in [state(a, b) for a in "abc" for b in "abc" if a != b]:
-        assert modified_leader_rule(w, s) == frozenset("c")
-        assert modified_leader_rule(y, s) == frozenset("a")
+        assert ballot_for(w, s) == frozenset("c")
+        assert ballot_for(y, s) == frozenset("a")
 
 
 def test_modified_leader_rule_tied_runner_up():
     cs = CandidateSet(tuple("abcdef"))
     p = pref(cs, "ab(cdef)")
-    assert modified_leader_rule(p, state("e", "f")) == frozenset("ab")
+    assert ballot_for(p, state("e", "f")) == frozenset("ab")
 
 
 def _tie_structures(names):
@@ -74,7 +79,7 @@ def test_outputs_sincere_for_every_tie_structure_and_outcome(n):
         p = Preference.from_groups(cs, groups)
         terminal_ties_only = all(len(g) == 1 for g in p.groups[:-1])
         for o in outcomes:
-            ballot = modified_leader_rule(p, o)
+            ballot = ballot_for(p, o)
             assert is_weakly_sincere(p, ballot)
             if terminal_ties_only:
                 assert is_sincere(p, ballot)
@@ -86,7 +91,7 @@ def test_outputs_sincere_for_every_tie_structure_and_outcome(n):
 
 def test_strict_sincerity_fails_on_mid_tie_winner(abc):
     p = pref(abc, "(bc)a")
-    ballot = modified_leader_rule(p, state("b", "a"))
+    ballot = ballot_for(p, state("b", "a"))
     assert ballot == frozenset("b")
     assert is_weakly_sincere(p, ballot)
     assert not is_sincere(p, ballot)
@@ -100,22 +105,4 @@ def test_simple_strategy_ignores_scores(abc):
     p = pref(abc, "bac")
     t1 = Outcome(Tally(abc, (10.0, 20.0, 5.0)), ("b", "a", "c"))
     t2 = Outcome(Tally(abc, (99.0, 100.0, 98.5)), ("b", "a", "c"))
-    assert modified_leader_rule(p, t1) == modified_leader_rule(p, t2)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_modified_rule_equals_leader_rule_when_tie_free(n):
-    names = tuple("abcde"[:n])
-    cs = CandidateSet(names)
-    outcomes = [state(w, r) for w in names for r in names if w != r]
-    for perm in permutations(names):
-        p = pref(cs, "".join(perm))
-        for o in outcomes:
-            assert leader_rule(p, o) == modified_leader_rule(p, o)
-
-
-def test_ballot_for_dispatch(abc):
-    p = pref(abc, "abc")
-    o = state("b", "c")
-    assert ballot_for(Strategy.LEADER_RULE, p, o) == leader_rule(p, o)
-    assert ballot_for(Strategy.MODIFIED_LEADER_RULE, p, o) == modified_leader_rule(p, o)
+    assert ballot_for(p, t1) == ballot_for(p, t2)
