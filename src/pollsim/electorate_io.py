@@ -17,7 +17,9 @@ which would not read back.  The parser checks this syntax; the model's
 constructors check meaning (at least two distinct candidates, complete
 preferences, the leader rule's tie-free preference, weights), and
 `parse_electorate` raises their errors again as `ParseError` at the
-token concerned.
+token concerned.  It asks `Strategy.admits` before it builds a type, so
+a leader-rule type with a tie fails at its strategy and any other type
+error at its weight.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ def parse_electorate(text: str) -> Electorate:
             strategy = Strategy(strat_tok)
         except ValueError:
             raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)", 2) from None
+        if not strategy.admits(preference):
+            raise _fail(lineno, raw, strat_tok, f"type {name!r} uses the leader rule but has a tied preference", 2)
         try:
             types[name] = VoterType(name, preference, weight, strategy)
-        except ValueError as exc:  # the strategy is checked first, then the weight
-            field = 1 if strategy.admits(preference) else 2
-            raise _fail(lineno, raw, fields[field], str(exc), field) from None
+        except ValueError as exc:
+            raise _fail(lineno, raw, weight_tok, str(exc), 1) from None
 
     if candidates is None:
         raise ParseError(1, 1, "no candidates declaration")
@@ -182,7 +185,7 @@ def _transient_heights(graph: PollingGraph) -> dict:
     return heights
 
 
-def _escaped_label(s: PollState) -> str:
+def _node_id(s: PollState) -> str:
     return s.label.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -194,12 +197,8 @@ def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
     are light green, other states electing it are green, bad periodic
     states are orange, bad equilibria are red, and transient states that
     stop being reachable after some iteration are grey (annotated with
-    that iteration count).  Node IDs escape ``\\`` and ``"`` when a
-    candidate name holds one.
+    that iteration count).  Node IDs escape ``\\`` and ``"``.
     """
-    node_id = PollState.label.fget  # called directly, it costs no more than ``s.label``
-    if any('"' in c or "\\" in c for c in graph.electorate.candidates):
-        node_id = _escaped_label
     lines = ["digraph polling_dynamics {", "  rankdir=LR;", '  node [style=filled, fillcolor=white];']
     on_cycle = {s for cyc in graph.cycles for s in cyc}
     cw = report.condorcet_winner  # None elects no state
@@ -216,12 +215,12 @@ def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
         else:
             fill = "green" if s.winner == cw else "grey"
             attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[s] + 1} iterations"'
-        lines.append(f'  "{node_id(s)}" [{attrs}];')
+        lines.append(f'  "{_node_id(s)}" [{attrs}];')
 
     for s in graph.states:
         t = graph.successor[s]
         if t != s:
-            lines.append(f'  "{node_id(s)}" -> "{node_id(t)}";')
+            lines.append(f'  "{_node_id(s)}" -> "{_node_id(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

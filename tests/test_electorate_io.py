@@ -129,7 +129,7 @@ def test_any_whitespace_ends_the_keyword():
     ("candidates:", "at least two candidates", (1, 1)),
     ("candidates: a", "at least two candidates", (1, 1)),
     ("candidates: a b c\ntype Z: a=b>c 1 LR", "uses the leader rule", (2, len("type Z: a=b>c 1 ") + 1)),
-    # the strategy is checked before the weight, so the error names the strategy field
+    # the parser checks the strategy before it builds the type, so the error names the strategy field
     ("candidates: a b c\ntype Z: a=b>c -1 LR", "uses the leader rule", (2, len("type Z: a=b>c -1 ") + 1)),
 ])
 def test_model_errors_are_placed(text, message, position):
