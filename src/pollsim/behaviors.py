@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .continuous import orbit_rows
 from .cultures import splitmix64
 
 
@@ -123,7 +124,8 @@ class PlanarReluctanceMap:
     construction, runs n steps from a state in the unit square:
     `winners_word` is its n letters, `advance(state) -> (winner, next
     state)` its run of one step, and `winner` and `step` the halves of
-    `advance`.  `reference_winner` and `reference_step`, built on `scores`
+    `advance`; `run_many` steps it from many starts.  `reference_winner`
+    and `reference_step`, built on `scores`
     and `safety`, are the readable reference; the closure does the same
     float operations in the same order."""
 
@@ -148,6 +150,18 @@ class PlanarReluctanceMap:
         if n < 0:
             raise ValueError(f"need n >= 0 letters, got {n}")
         return self._run(start, n)[0]
+
+    def run_many(self, starts, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The orbits of many starts, as `ContinuousDynamics.run_many`
+        returns them: ``winners[b, k]`` and ``states[b, k] = (x, z)`` of
+        start b after k steps, for k = 0..n.  Each start's `orbit_rows`
+        runs the closure one step at a time, so the planar float
+        operations stay in one copy."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 steps, got {n}")
+        rows = [list(orbit_rows(self, s, n)) for s in starts]
+        return (np.array([[w for _, _, w in r] for r in rows], dtype=str).reshape(len(rows), n + 1),
+                np.array([[s for _, s, _ in r] for r in rows], dtype=np.float64).reshape(len(rows), n + 1, 2))
 
     def scores(self, state: tuple[float, float]) -> tuple[float, float, float]:
         x, z = state

@@ -94,11 +94,11 @@ def _cmd_mc(args) -> int:
 
 def _planar_source(args):
     """The requested planar model as (source, state at (x, z), (x, z) of a
-    state)."""
+    state, columns of x and z in a state row of ``source.run_many``)."""
     if args.model == "twobloc":
         dyn = presets.two_bloc_dynamics(p=args.p, margin=args.theta, fallback=Fallback(args.fallback))
         view = presets.two_bloc_view(dyn)
-        return dyn, view.state, view.coords
+        return dyn, view.state, view.coords, view.columns
     collab = behaviors.LinearClamped(args.kappa) if args.collab == "linear" else behaviors.RationalDecay(args.lam)
     nz, ny, nx, nw = args.weights
     config = behaviors.ReluctanceConfig(
@@ -113,7 +113,7 @@ def _planar_source(args):
         collaboration=collab,
         b_score_rule=behaviors.BScoreRule.LITERAL if args.vb == "literal" else behaviors.BScoreRule.DERIVED,
     )
-    return behaviors.build_planar_map(config), lambda x, z: (x, z), lambda xz: xz
+    return behaviors.build_planar_map(config), lambda x, z: (x, z), lambda xz: xz, (0, 1)
 
 
 def _orbit_start(args):
@@ -128,7 +128,7 @@ def _orbit_start(args):
         if not 0 <= z <= 1:
             raise ValueError("--start must lie in [0, 1]")
         return model, z, lambda z: (float(z),)
-    source, state, coords = _planar_source(args)
+    source, state, coords, _ = _planar_source(args)
     try:
         x, z = (float(c) for c in args.start.split(",")) if args.start else (0.5, 0.5)
     except ValueError:
@@ -187,16 +187,15 @@ def _cmd_entropy(args) -> int:
 def _cmd_grid(args) -> int:
     if args.res < 1 or args.iters < 0:
         raise ValueError("--res must be positive and --iters non-negative")
-    source, state, coords = _planar_source(args)
+    source, state, _, (cx, cz) = _planar_source(args)
     res = args.res
+    axis = [i / (res - 1) if res > 1 else 0.5 for i in range(res)]
+    points = [(x0, z0) for x0 in axis for z0 in axis]
+    winners, states = source.run_many([state(x0, z0) for x0, z0 in points], args.iters)
     rows = ["x0,z0,step,x,z,winner\n"]
-    for i in range(res):
-        for j in range(res):
-            x0 = i / (res - 1) if res > 1 else 0.5
-            z0 = j / (res - 1) if res > 1 else 0.5
-            for k, s, winner in orbit_rows(source, state(x0, z0), args.iters):
-                x, z = coords(s)
-                rows.append(f"{x0:.6f},{z0:.6f},{k},{x:.12f},{z:.12f},{winner}\n")
+    for (x0, z0), xs, zs, ws in zip(points, states[:, :, cx].tolist(), states[:, :, cz].tolist(), winners.tolist()):
+        head = f"{x0:.6f},{z0:.6f},"
+        rows.extend(f"{head}{k},{x:.12f},{z:.12f},{w}\n" for k, (x, z, w) in enumerate(zip(xs, zs, ws)))
     _write_or_print("".join(rows), args.out)
     return 0
 

@@ -11,8 +11,12 @@ margins (`perturbed_dynamics`), and the discrete dynamics embeds as the
 gate of rate 1 that never closes (`embed_discrete`).
 
 `ContinuousDynamics.step`, `advance` and `winner` run one kernel that
-`_resolved_step` builds from the dynamics at construction; `scores`,
-`outcome` and `_move` are the readable reference it matches bit for bit.
+`_resolved_step` builds from the dynamics at construction; `winner` stops
+after the ranking.  Where the rate can be 1, the kernel also answers its
+own unit states from a table it fills at construction.
+`ContinuousDynamics.run_many` does the kernel's float operations on the
+orbits of many starts at once, as one array.  `scores`, `outcome` and
+`_move` are the readable reference that all of them match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -115,7 +119,9 @@ class ContinuousDynamics:
     def __post_init__(self) -> None:
         if type(self.rate) is not MarginGate:
             raise TypeError(f"the rate must be a MarginGate, got {type(self.rate).__name__}")
-        object.__setattr__(self, "_advance", _resolved_step(self))
+        advance, winner = _resolved_step(self)
+        object.__setattr__(self, "_advance", advance)
+        object.__setattr__(self, "_winner", winner)
 
     def __reduce__(self):  # the kernel does not pickle; the fields do
         return ContinuousDynamics, (self.electorate, self.admissible, self.targets, self.rate)
@@ -132,6 +138,17 @@ class ContinuousDynamics:
                 vecs.append(tuple((cand.index(c), t.weight) for c in sorted(ballot, key=cand.index)))
             out.append(tuple(vecs))
         return tuple(out)
+
+    @cached_property
+    def _terms(self):
+        """Per candidate: the (type, slot, weight) terms of its score, in
+        the order `scores` adds them."""
+        terms = [[] for _ in self.electorate.candidates.names]
+        for i, vecs in enumerate(self._contributions):
+            for j, pairs in enumerate(vecs):
+                for c, w in pairs:
+                    terms[c].append((i, j, w))
+        return tuple(map(tuple, terms))
 
     @cached_property
     def _units(self):
@@ -155,13 +172,71 @@ class ContinuousDynamics:
         return outcome_from_tally(self.scores(state))
 
     def winner(self, state: ContinuousState) -> str:
-        return self._advance(state)[0]
+        return self._winner(state)
 
     def step(self, state: ContinuousState) -> ContinuousState:
         return self._advance(state)[1]
 
     def advance(self, state: ContinuousState) -> tuple[str, ContinuousState]:
         return self._advance(state)
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Where each type's shares start in a flat state row (the types in
+        order, then each type's admissible ballots); the row's width last."""
+        return tuple(accumulate(map(len, self.admissible), initial=0))
+
+    def run_many(self, starts, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The orbits of many starts at once: ``winners[b, k]`` is the
+        winner of start b's state after k steps and ``states[b, k]`` that
+        state as a flat row of shares (see `_offsets`), for k = 0..n.  Each
+        step does the kernel's float operations on a (starts, slots) array:
+        a score adds every term ``x[:, slot] * w`` in the kernel's order, a
+        zero share's +0.0 included, which changes no bit; the ranking is a
+        stable sort of the negated scores; and the p = 0, p = 1 and
+        at-target branches take precedence as in the kernel.  The rows equal
+        `orbit_rows` bit for bit."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 steps, got {n}")
+        cand, offsets = self.electorate.candidates, self._offsets
+        m, width = len(cand), offsets[-1]
+        terms = [[(offsets[i] + j, w) for i, j, w in c_terms] for c_terms in self._terms]
+        # per (winner, runner-up): every type's target as a flat slot, and
+        # the unit state the rate 1 moves to
+        target = np.zeros((m, m, len(self.admissible)), dtype=np.intp)
+        for (w, r), js in self.targets.items():
+            target[cand.index(w), cand.index(r)] = [o + j for o, j in zip(offsets, js)]
+        unit = np.zeros((m, m, width))
+        np.put_along_axis(unit, target, 1.0, axis=2)
+        owner = np.repeat(np.arange(len(self.admissible)), np.diff(offsets))  # the type of each slot
+        p_open, threshold, closed = self.rate.p, self.rate.threshold, self.rate.closed
+        x = np.array([[s for point in state for s in point.shares] for state in starts], dtype=np.float64)
+        x = x.reshape(len(starts), width)
+        rows = np.arange(len(x))[:, None]
+        states = np.empty((len(x), n + 1, width))
+        winners = np.empty((len(x), n + 1), dtype=np.intp)
+        for k in range(n + 1):
+            states[:, k] = x
+            acc = np.zeros((len(x), m))
+            for c, c_terms in enumerate(terms):
+                v = acc[:, c]
+                for col, w in c_terms:
+                    v += x[:, col] * w
+            order = np.argsort(-acc, axis=1, kind="stable")
+            winners[:, k] = order[:, 0]
+            if k == n:
+                break
+            ranked = np.take_along_axis(acc, order, axis=1)
+            p = np.where((ranked[:, :-1] - ranked[:, 1:] >= threshold).all(axis=1), p_open, closed)
+            first, second = order[:, 0], order[:, 1]
+            cols = target[first, second]
+            moved = (1.0 - p)[:, None] * x
+            moved[rows, cols] += p[:, None]
+            at_target = np.take_along_axis(x, cols, axis=1) == 1.0
+            moved = np.where(at_target[:, owner], x, moved)
+            moved = np.where((p == 1.0)[:, None], unit[first, second], moved)
+            x = np.where((p == 0.0)[:, None], x, moved)
+        return np.array(cand.names)[winners], states
 
     def _move(self, state: ContinuousState, out: Outcome) -> ContinuousState:
         """Reference move: the fraction p = rate(outcome) of every type
@@ -245,26 +320,27 @@ class ContinuousDynamics:
 
 
 def _resolved_step(dyn: ContinuousDynamics):
-    """The dynamics' ``advance``: `scores`, `outcome`, `rate` and `_move`
-    with every lookup resolved here, once.  Candidate c's score adds the
-    terms (type, slot, weight) in the order `scores` adds them, skipping
-    zero shares as it does; the stable descending sort breaks ties toward
-    the lower index, as `outcome_from_tally` does; the `MarginGate` is
-    evaluated on the scores."""
+    """The dynamics' ``(advance, winner)``: `scores`, `outcome`, `rate` and
+    `_move` with every lookup resolved here, once.  Candidate c's score
+    adds the terms (type, slot, weight) in the order `scores` adds them,
+    skipping zero shares as it does; the stable descending sort breaks ties
+    toward the lower index, as `outcome_from_tally` does; the `MarginGate`
+    is evaluated on the scores.  ``winner`` stops after the ranking.
+
+    Where the rate can be 1, every step that moves at rate 1 returns one
+    of the kernel's unit states, so each unit state is stepped once here
+    and a later ``advance`` of that very object is answered from the
+    table.  The table holds the objects, so an id it answers for cannot be
+    reused."""
     cand = dyn.electorate.candidates
     names = cand.names
-    terms = [[] for _ in names]
-    for i, vecs in enumerate(dyn._contributions):
-        for j, pairs in enumerate(vecs):
-            for c, w in pairs:
-                terms[c].append((i, j, w))
-    terms = tuple(tuple(t) for t in terms)
+    terms = dyn._terms
     indices = range(len(names))
     slots = {(cand.index(w), cand.index(r)): js for (w, r), js in dyn.targets.items()}
     units = {key: tuple(u[j] for u, j in zip(dyn._units, js)) for key, js in slots.items()}
     p_open, threshold, closed = dyn.rate.p, dyn.rate.threshold, dyn.rate.closed
 
-    def advance(state):
+    def rank(state):
         shares = [point.shares for point in state]
         acc = []
         for c_terms in terms:
@@ -274,7 +350,13 @@ def _resolved_step(dyn: ContinuousDynamics):
                 if s:
                     v += s * w
             acc.append(v)
-        order = sorted(indices, key=acc.__getitem__, reverse=True)
+        return shares, acc, sorted(indices, key=acc.__getitem__, reverse=True)
+
+    def winner_of(state):
+        return names[rank(state)[2][0]]
+
+    def advance(state):
+        shares, acc, order = rank(state)
         winner, pair = names[order[0]], (order[0], order[1])
         # the gate's >= on adjacent scores of the ranking: rounding is
         # monotone, so no other pair's margin is smaller
@@ -301,7 +383,17 @@ def _resolved_step(dyn: ContinuousDynamics):
             points.append(SimplexPoint(tuple(new)))
         return winner, tuple(points)
 
-    return advance
+    if p_open != 1.0 and closed != 1.0:
+        return advance, winner_of
+    table = {id(s): (s, advance(s)) for s in units.values()}
+
+    def tabled(state):
+        hit = table.get(id(state))
+        if hit is not None and hit[0] is state:
+            return hit[1]
+        return advance(state)
+
+    return tabled, winner_of
 
 
 def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
@@ -384,15 +476,28 @@ class TwoShareView:
                     raise ValueError(f"type {t.name!r} must have exactly the tracked and one other ballot")
             elif len(ballots) != 1:
                 raise ValueError(f"type {t.name!r} is not pinned to a single ballot")
+        pinned = SimplexPoint((1.0,))
+        points = tuple(None if i in tracked else pinned for i in range(len(self.dynamics.admissible)))
+        object.__setattr__(self, "_pinned", points)
 
     def state(self, x: float, z: float) -> ContinuousState:
-        """The state at (x, z); ValueError unless both lie in [0, 1]."""
+        """The state at (x, z); ValueError unless both lie in [0, 1].  The
+        pinned types' points come from a template.  It equals
+        `state_from_vectors` bit for bit: for v in [0, 1], 1 - v is exact
+        above 1/2 and off by at most half an ulp of 1 below, so v + (1 - v)
+        rounds to exactly 1 and a tracked type is never renormalized."""
         if not (0.0 <= x <= 1.0 and 0.0 <= z <= 1.0):
             raise ValueError(f"(x, z) = ({x}, {z}) is not in the unit square")
-        vectors = [(1.0,)] * len(self.dynamics.admissible)
+        points = list(self._pinned)
         for (i, j), v in ((self.x, x), (self.z, z)):
-            vectors[i] = (v, 1.0 - v) if j == 0 else (1.0 - v, v)
-        return self.dynamics.state_from_vectors(vectors)
+            points[i] = SimplexPoint((v, 1.0 - v) if j == 0 else (1.0 - v, v))
+        return tuple(points)
+
+    @property
+    def columns(self) -> tuple[int, int]:
+        """Where x and z sit in a flat state row of `ContinuousDynamics.run_many`."""
+        offsets = self.dynamics._offsets
+        return offsets[self.x[0]] + self.x[1], offsets[self.z[0]] + self.z[1]
 
     def coords(self, state: ContinuousState) -> tuple[float, float]:
         (ix, jx), (iz, jz) = self.x, self.z

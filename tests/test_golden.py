@@ -16,7 +16,12 @@ taken before a planar word came from one n-step loop of the map.  The
 spatial d = 400 MLR and d = 3 LR Monte Carlo digests were taken before
 the trials of a slice were seeded together and sorted as one array, and
 the d = 400 LR and d = 50 MLR ones before a slice's spatial trials were
-drawn in blocks sized by one bound."""
+drawn in blocks sized by one bound.  The reluctance grids and the rate-1
+two-bloc grid and orbits were taken before `grid` ran every start's
+orbit as one batch (`run_many`) and before a rate-1 kernel answered its
+own unit states from a table built with it; the `--p 1` orbit under
+`keep` stays at its start, and under `apply` it reaches a unit state
+after one step and stays there."""
 
 import hashlib
 from pathlib import Path
@@ -39,6 +44,7 @@ from pollsim import (
 from pollsim.cli import main
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
+RELUCTANCE_GRID = ["grid", "--model", "reluctance", "--res", "30", "--iters", "8"]
 DATA = Path(__file__).parent / "data"
 TWOBLOC = ["cpd-orbit", "--model", "twobloc", "--steps", "300", "--start", "0.3,0.7"]
 
@@ -49,8 +55,19 @@ OUTPUTS = {
                    "7932c6c66be23f10305c17d734ce8a076874592b2b44d185c717fb76d6458812"),
     "grid-half": (GRID + ["--fallback", "half"],
                   "b5aff8cb4966d8fe3a1be856bd936ee2149067e065f8ff7f4dae82726f2bc722"),
+    "grid-twobloc-p1-apply": (GRID + ["--p", "1", "--fallback", "apply"],
+                              "8b1406612e4fad636542bf8f2082b741192cc937a8df127e278f8e014cf736ec"),
+    "grid-reluctance": (RELUCTANCE_GRID,
+                        "80be6201ab48e4b81ea1dc3f52ae0ff5e135eef6fb1c706fc75fe46ae332cc59"),
+    "grid-reluctance-literal-raw-rational": (RELUCTANCE_GRID + ["--vb", "literal", "--norm", "raw",
+                                                                "--collab", "rational"],
+                                             "7f9f3dd2d4fafb5cd41db342483a10ed24684629401a0ff17e99911ea17995b1"),
     "orbit-twobloc": (TWOBLOC,
                       "a246da4c25b3f7b3d2c6e7a604ada41a886ac625d02fdfb8e143399469bd7031"),
+    "orbit-twobloc-p1": (TWOBLOC + ["--p", "1"],
+                         "a246da4c25b3f7b3d2c6e7a604ada41a886ac625d02fdfb8e143399469bd7031"),
+    "orbit-twobloc-p1-apply": (TWOBLOC + ["--p", "1", "--fallback", "apply"],
+                               "98b99b657e17cfbd12eba6db22e559f7ce497673d8d5fa28806f8affb2a63d2b"),
     "orbit-twobloc-half": (TWOBLOC + ["--fallback", "half", "--keep-every", "3"],
                            "222ac4974bce2e0aad9d23cadae5b144ad9badbf4219d73681aa328fd4d8c5f8"),
     "orbit-reluctance": (["cpd-orbit", "--model", "reluctance", "--steps", "300", "--keep-every", "7"],

@@ -93,24 +93,28 @@ def test_tent_float_advance_is_the_winner_and_the_step(z):
     assert (w, nxt.hex()) == (TENT.winner(z), TENT.step(z).hex())
 
 
-def test_grid_evaluates_one_outcome_per_row(monkeypatch, tmp_path):
-    # 30 x 30 starts with 9 rows each: 8,100 rows and as many evaluations
-    # of the step kernel, which `step`, `advance` and `winner` all run
-    calls = []
+def test_grid_runs_one_batch_and_no_scalar_kernel(monkeypatch, tmp_path):
+    # 30 x 30 starts of 8 steps each go through one `run_many` call; the
+    # scalar kernel behind `step`, `advance` and `winner` runs not once
+    calls, batches = [], []
     resolve = continuous._resolved_step
+    run_many = continuous.ContinuousDynamics.run_many
 
     def counted(dyn):
-        kernel = resolve(dyn)
+        return tuple(lambda state, f=f: calls.append(1) or f(state) for f in resolve(dyn))
 
-        def run(state):
-            calls.append(1)
-            return kernel(state)
-
-        return run
+    def batched(dyn, starts, n):
+        batches.append((len(starts), n))
+        return run_many(dyn, starts, n)
 
     monkeypatch.setattr(continuous, "_resolved_step", counted)
+    monkeypatch.setattr(continuous.ContinuousDynamics, "run_many", batched)
     assert main(["grid", "--model", "twobloc", "--res", "30", "--iters", "8", "--out", str(tmp_path / "g.csv")]) == 0
-    assert len(calls) == 8100
+    assert calls == []
+    assert batches == [(900, 8)]
+    dyn = two_bloc_dynamics()
+    dyn.winner(two_bloc_view(dyn).state(0.5, 0.5))
+    assert calls == [1]  # the counter sees a scalar call
 
 
 @settings(deadline=None)
