@@ -11,9 +11,14 @@ casting the two-name ballot {a, b}.  Candidate scores are
     V_b = n_z * z + x                (rule "literal")
 
 The two b-score rules and the two safety normalizations are exposed as
-configuration axes; they produce markedly different dynamics and the
+configuration axes, so nothing is silently privileged; the
 derived/total-weight pair is the one that reproduces the documented
-attractors, so nothing is silently privileged.
+attractors.  The axes change the orbit more than the winners word: at
+the default weights both total-normalization configurations turn x by
+one tent map of slope 5/4 whose turning point x = 1/3 decides between a
+and c (b never wins under literal/total), so their words from (0.5, 0.5)
+agree letter for letter while z differs, and both raw configurations
+fall onto a fixed point.
 """
 
 from __future__ import annotations
@@ -127,7 +132,10 @@ class PlanarReluctanceMap:
     `advance`; `run_many` steps it from many starts.  `reference_winner`
     and `reference_step`, built on `scores`
     and `safety`, are the readable reference; the closure does the same
-    float operations in the same order."""
+    float operations in the same order.  Once an orbit returns to an
+    earlier float state, the closure writes the rest of the word by
+    repetition (see `_resolved_map`); letters and end state are still
+    those of n steps."""
 
     def __init__(self, config: ReluctanceConfig):
         self.config = config
@@ -193,7 +201,19 @@ def _resolved_map(c: ReluctanceConfig):
     """The map's ``run(state, n) -> (letters, state after n steps)`` for
     one configuration: the winners of the n states from ``state`` on, by
     the reference's scores, safety and clamped collaboration with every
-    configuration branch resolved here, once."""
+    configuration branch resolved here, once.
+
+    The run finds an orbit's exact cycle on Brent's schedule: it keeps
+    one checkpoint, replaced at states 1, 2, 4, 8, ..., and compares
+    every new state with it.  When state t equals the checkpoint, state
+    lo, the map, a function of (x, z) alone, repeats with period
+    t - lo from lo on, so letters t..n-1 are letters lo..t-1 over again
+    and state n is state t stepped (n - t) mod (t - lo) more times.
+    Float ``==`` is exact here: a NaN start is refused and the clamp
+    maps -0.0 and NaN to +0.0 at every step, so no checkpoint holds
+    either and equal states are equal bits.  A chaotic orbit pays one
+    comparison per step; a one-step call pays the checkpoint's few
+    assignments."""
     n_z, n_x, vc = c.n_z, c.n_x, c.n_w
     a0 = c.n_z + c.n_y  # va = (n_z + n_y) + n_x * x, as `scores` adds
     literal = c.b_score_rule is BScoreRule.LITERAL
@@ -209,29 +229,39 @@ def _resolved_map(c: ReluctanceConfig):
         if not (0.0 <= x <= 1.0 and 0.0 <= z <= 1.0):  # also refuses NaN
             raise ValueError(f"planar state {state} lies outside the unit square")
         letters = []
-        for _ in range(n):
-            va = a0 + n_x * x
-            vb = n_z * z + (x if literal else n_x)
-            if va >= vb:  # ties go to the lower index, as in `reference_winner`
-                letters.append("a" if va >= vc else "c")
-            else:
-                letters.append("b" if vb >= vc else "c")
-            if normalized:
-                va, vb = va / total, vb / total
-            d_b, d_a = abs(vb - wc), abs(va - wc)
-            if two_case:
-                s_z = d_b if vb > va else 0.5 * d_b + 0.5 * d_a
-                s_x = d_a if va > vb else 0.5 * d_a + 0.5 * d_b
-            else:
-                s_z, s_x = d_b, d_a
-            if linear:
-                x, z = 1.0 - k * s_x, 1.0 - k * s_z
-            else:
-                x, z = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
-            # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
-            x = x if 0.0 < x < 1.0 else 1.0 if x >= 1.0 else 0.0
-            z = z if 0.0 < z < 1.0 else 1.0 if z >= 1.0 else 0.0
-        return "".join(letters), (x, z)
+        # states lo+1..hi are compared with the checkpoint (cx, cz), state lo
+        # from state 1 on; (-1, -1) is no state of the square
+        lo, hi, cx, cz = 0, 1, -1.0, -1.0
+        while True:
+            for t in range(lo + 1, (hi if hi < n else n) + 1):
+                va = a0 + n_x * x
+                vb = n_z * z + (x if literal else n_x)
+                if va >= vb:  # ties go to the lower index, as in `reference_winner`
+                    letters.append("a" if va >= vc else "c")
+                else:
+                    letters.append("b" if vb >= vc else "c")
+                if normalized:
+                    va, vb = va / total, vb / total
+                d_b, d_a = abs(vb - wc), abs(va - wc)
+                if two_case:
+                    s_z = d_b if vb > va else 0.5 * d_b + 0.5 * d_a
+                    s_x = d_a if va > vb else 0.5 * d_a + 0.5 * d_b
+                else:
+                    s_z, s_x = d_b, d_a
+                if linear:
+                    x, z = 1.0 - k * s_x, 1.0 - k * s_z
+                else:
+                    x, z = 1.0 / (1.0 + k * s_x), 1.0 / (1.0 + k * s_z)
+                # min(1.0, max(0.0, y)), which also maps NaN and -0.0 to 0.0
+                x = x if 0.0 < x < 1.0 else 1.0 if x >= 1.0 else 0.0
+                z = z if 0.0 < z < 1.0 else 1.0 if z >= 1.0 else 0.0
+                if x == cx and z == cz:  # state t repeats state lo: period t - lo from lo on
+                    cycle = "".join(letters[lo:])
+                    q, r = divmod(n - t, t - lo)
+                    return "".join(letters) + cycle * q + cycle[:r], run((x, z), r)[1]
+            if hi >= n:
+                return "".join(letters), (x, z)
+            lo, hi, cx, cz = hi, hi + hi, x, z
 
     return run
 

@@ -2,6 +2,7 @@
 tent-map model."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pollsim import (
     safety,
 )
 
-from pollsim.behaviors import _tent_word_by_steps
+from pollsim.behaviors import PlanarReluctanceMap, _tent_word_by_steps
 
 RAW2 = SafetyFunction(SafetyKind.TWO_CASE, Normalization.RAW)
 
@@ -111,6 +112,27 @@ def test_planar_map_winner_tie_break():
     # V_a == V_c exactly at x = 1/3 (scores 5 and 5): a wins the tie
     m = build_planar_map(ReluctanceConfig())
     assert m.winner((1 / 3, 0.0)) == "a"
+
+
+@pytest.mark.parametrize("rule", list(BScoreRule))
+def test_raw_normalization_reaches_a_fixed_point_within_two_steps(rule):
+    # at the default weights, from every point of the 17 x 17 grid on the square
+    m = build_planar_map(ReluctanceConfig(safety_fn=RAW2, b_score_rule=rule))
+    for i, j in product(range(17), repeat=2):
+        state = m.step(m.step((i / 16, j / 16)))
+        assert [v.hex() for v in m.step(state)] == [v.hex() for v in state], (i, j)
+
+
+def test_literal_total_never_lets_b_win():
+    """va - vb = 4 + 2x - 3z at the default weights under the literal rule.
+    It is affine in (x, z), so its least value on the closed square is at
+    a vertex, and exact scores there prove va - vb >= 1 everywhere."""
+    exact = PlanarReluctanceMap(ReluctanceConfig(*map(Fraction, (3, 1, 3, 5)), b_score_rule=BScoreRule.LITERAL))
+    for x, z in product((Fraction(0), Fraction(1)), repeat=2):
+        va, vb, _ = exact.scores((x, z))
+        assert va - vb == 4 + 2 * x - 3 * z >= 1
+    m = build_planar_map(ReluctanceConfig(b_score_rule=BScoreRule.LITERAL))
+    assert "b" not in m.winners_word((0.3, 0.7), 2**16)
 
 
 def test_tent_endpoints_and_period_two():

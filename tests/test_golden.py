@@ -21,7 +21,11 @@ two-bloc grid and orbits were taken before `grid` ran every start's
 orbit as one batch (`run_many`) and before a rate-1 kernel answered its
 own unit states from a table built with it; the `--p 1` orbit under
 `keep` stays at its start, and under `apply` it reaches a unit state
-after one step and stays there."""
+after one step and stays there.  The 2^16-letter planar words of
+eventually periodic orbits, their end states after 2^16 + 5 steps, and
+the raw-normalization reluctance entropy output were taken before the
+planar run found an orbit's exact cycle and wrote the rest of the word
+by repetition."""
 
 import hashlib
 from pathlib import Path
@@ -41,6 +45,7 @@ from pollsim import (
     ks_profile,
     winners_word,
 )
+from pollsim.behaviors import _resolved_map
 from pollsim.cli import main
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
@@ -184,6 +189,40 @@ def test_planar_winners_word_digest_per_configuration(name):
     config, digest = PLANAR_WORDS[name]
     word = winners_word(build_planar_map(config), (0.3, 0.7), 2**14).letters
     assert _digest(word.encode()) == digest
+
+
+RAW = SafetyFunction(SafetyKind.TWO_CASE, Normalization.RAW)
+CYCLE_WORDS = {  # 2^16 letters from (0.3, 0.7), and float.hex of the state after 2^16 + 5 steps
+    # a 22-cycle from state 472 on
+    "scaled-derived-total": (ReluctanceConfig(0.56, 0.08, 0.6, 0.81),
+                             "c6363a31fdb789933d8196bafcacaa0b4930ba85b19cc69c6a1c140be056e89a",
+                             ("0x1.401ad9672d0d0p-1", "0x1.4feb290f5d99ep-1")),
+    # the fixed point (0, 0) from state 2 on
+    "derived-raw": (ReluctanceConfig(safety_fn=RAW),
+                    "bada0be233c45cf4ec69ae4abbcc4b0f002185c788e383ce10a85de09507461f",
+                    ("0x0.0p+0", "0x0.0p+0")),
+    "literal-raw": (ReluctanceConfig(safety_fn=RAW, b_score_rule=BScoreRule.LITERAL),
+                    "2b83fd805e3eaec4aeee5f259f34ced487ff8d8f32d15d8e60140d6266dd9c39",
+                    ("0x0.0p+0", "0x0.0p+0")),
+}
+
+
+@pytest.mark.parametrize("name", CYCLE_WORDS)
+def test_eventually_periodic_word_and_end_state_digest(name):
+    config, digest, end = CYCLE_WORDS[name]
+    word = winners_word(build_planar_map(config), (0.3, 0.7), 2**16).letters
+    assert _digest(word.encode()) == digest
+    _, state = _resolved_map(config)((0.3, 0.7), 2**16 + 5)
+    assert tuple(v.hex() for v in state) == end
+
+
+def test_entropy_reluctance_raw_digest(capsys, tmp_path):
+    # the summary line and the profile CSV of a word whose orbit is fixed from state 2 on
+    out = tmp_path / "profile.csv"
+    assert main(["entropy", "--model", "reluctance", "--norm", "raw", "--steps", "65536",
+                 "--start", "0.3,0.7", "--out", str(out)]) == 0
+    text = capsys.readouterr().out + out.read_text()
+    assert _digest(text.encode()) == "7e7d2db185f6f21eca0dfaf321e1e74150f23b18e52e2b5433224b94cd0be483"
 
 
 def test_entropy_reluctance_digest(capsys, tmp_path):

@@ -2,9 +2,13 @@
 `winner`, `step`, `advance` and winners words that run it, against
 `reference_winner` and `reference_step`, built on `scores` and `safety`,
 bit for bit, on random configurations and states, including states where
-two or three scores tie exactly."""
+two or three scores tie exactly.  The n-step run, which writes the rest
+of an eventually periodic orbit's word by repetition, is checked against
+n one-step `advance` calls on every length around the point where it
+finds the cycle."""
 
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -112,6 +116,115 @@ def test_resolved_orbit_equals_reference_orbit(case, n):
     word, end = _resolved_map(config)(start, n)
     assert (word, bits(end)) == ("".join(letters), bits(ref))
     assert m.winners_word(start, n) == winners_word(m, start, n).letters == word
+
+
+def _two_case(weights, rule, norm):
+    return ReluctanceConfig(*weights, safety_fn=SafetyFunction(SafetyKind.TWO_CASE, norm), b_score_rule=rule)
+
+
+DEFAULT_WEIGHTS = (3.0, 1.0, 3.0, 5.0)
+SCALED_WEIGHTS = (0.56, 0.08, 0.6, 0.81)
+D, L = BScoreRule.DERIVED, BScoreRule.LITERAL
+RAW, TOTAL = Normalization.RAW, Normalization.TOTAL_WEIGHT
+# the chaotic-words benchmark's configurations whose orbits close on an
+# exact float cycle; from (0.3, 0.7) the scaled derived/total one reaches
+# its 22-cycle at state 472
+PERIODIC = {
+    "default-derived-raw": _two_case(DEFAULT_WEIGHTS, D, RAW),
+    "default-literal-raw": _two_case(DEFAULT_WEIGHTS, L, RAW),
+    "scaled-derived-raw": _two_case(SCALED_WEIGHTS, D, RAW),
+    "scaled-derived-total": _two_case(SCALED_WEIGHTS, D, TOTAL),
+    "scaled-literal-raw": _two_case(SCALED_WEIGHTS, L, RAW),
+    "scaled-literal-total": _two_case(SCALED_WEIGHTS, L, TOTAL),
+    # 1 - kappa * t >= 1 clamps to 1.0, so state 1 is the fixed point (1, 1),
+    # found at state 2, the earliest the schedule allows
+    "negative-kappa": ReluctanceConfig(collaboration=LinearClamped(-2.0)),
+}
+
+
+def _advance_orbit(config, start, n):
+    """The letters of n one-step `advance` calls from ``start``, and the
+    bits of the state after each of 0..n of them."""
+    m = build_planar_map(config)
+    letters, ends, state = [], [bits(start)], start
+    for _ in range(n):
+        w, state = m.advance(state)
+        letters.append(w)
+        ends.append(bits(state))
+    return "".join(letters), ends
+
+
+def _detection(ends):
+    """The state at which a checkpoint at states 1, 2, 4, 8, ... first
+    meets itself again, and the period, or None when no state from 1 on
+    repeats among ``ends``.  With mu the first state that recurs and lam
+    the period, that is the first checkpoint P >= max(mu, lam), met again
+    at state P + lam."""
+    seen = {}
+    for t, b in enumerate(ends[1:], 1):
+        if b in seen:
+            mu, lam = seen[b], t - seen[b]
+            return 1 << (max(mu, lam) - 1).bit_length(), lam
+        seen[b] = t
+    return None
+
+
+LONG = 4096
+
+
+def _check_around_detection(config, start, full_up_to=LONG):
+    """Check ``run(start, n)`` against `advance` calls for n = 0..63, for
+    n = LONG, and from the detection point on up to detection + 2 lam + 3;
+    every n from 0 when that bound is at most ``full_up_to`` (the range
+    from 0 costs the square of the detection point).  Returns what
+    `_detection` found."""
+    word, ends = _advance_orbit(config, start, LONG)
+    found = _detection(ends)
+    lengths = {LONG, *range(64)}
+    if found is not None:
+        checkpoint, lam = found
+        detected = checkpoint + lam
+        last = detected + 2 * lam + 3
+        assert last <= LONG
+        lengths |= set(range(0 if last <= full_up_to else detected - 3, last + 1))
+    run = _resolved_map(config)
+    for n in sorted(lengths):
+        got, end = run(start, n)
+        assert (got, bits(end)) == (word[:n], ends[n]), n
+    return found
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(random_cases(), tied_cases()))
+def test_run_equals_one_step_advances_around_the_cycle_it_finds(case):
+    _check_around_detection(*case, full_up_to=200)
+
+
+@pytest.mark.parametrize("start", [(-0.0, 0.7), (0.0, 0.0), (1.0, 1.0), (0.3, 0.7)])
+@pytest.mark.parametrize("name", PERIODIC)
+def test_run_equals_one_step_advances_on_the_periodic_configurations(name, start):
+    assert _check_around_detection(PERIODIC[name], start) is not None
+
+
+@pytest.mark.parametrize("rule", list(BScoreRule))
+def test_run_equals_one_step_advances_on_a_chaotic_orbit(rule):
+    # the default weights under total normalization: no state repeats in
+    # 4,096 steps, so the run steps every letter
+    assert _check_around_detection(_two_case(DEFAULT_WEIGHTS, rule, TOTAL), (0.3, 0.7)) is None
+
+
+def test_a_fixed_point_word_is_written_without_a_list_slot_per_letter():
+    # a letter-by-letter loop would hold 2^22 list slots (32 MiB); the
+    # shortcut holds a few copies of the 4 MiB word
+    run = _resolved_map(PERIODIC["default-derived-raw"])
+    tracemalloc.start()
+    try:
+        word, end = run((0.3, 0.7), 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (word[:3], len(word), set(word[2:]), end) == ("bac", 2**22, {"c"}, (0.0, 0.0))
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("start", [(float("nan"), 0.5), (1.5, -3.0), (0.5, float("inf"))])
