@@ -11,9 +11,16 @@ margins (`perturbed_dynamics`), and the discrete dynamics embeds as the
 gate of rate 1 that never closes (`embed_discrete`).
 
 `ContinuousDynamics.step`, `advance` and `winner` run one kernel that
-`_resolved_step` builds from the dynamics at construction; `winner` stops
-after the ranking.  Where the rate can be 1, the kernel also answers its
-own unit states from a table it fills at construction.
+`_resolved_step` compiles from Python source at construction: straight
+lines for the dynamics' numbers of types, shares and candidates, with no
+loop over them.  Only those indices enter the source; the weights, rates,
+names and targets are values in the namespace the kernel runs in, and
+dynamics of one shape share one cached code object.  The kernel adds a
+zero share's product as `scores` would skip it, which changes no bit,
+and it unpacks every point and share, so a state of the wrong shape
+raises `ValueError`; `winner` stops after the ranking.  Where the rate
+can be 1, the kernel also answers its own unit states from a table it
+fills at construction.
 `ContinuousDynamics.run_many` does the kernel's float operations on the
 orbits of many starts at once, as one array.  `scores`, `outcome` and
 `_move` are the readable reference that all of them match bit for bit.
@@ -24,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from types import CodeType
 from typing import Callable, Iterator
 
 import numpy as np
@@ -141,13 +149,14 @@ class ContinuousDynamics:
 
     @cached_property
     def _terms(self):
-        """Per candidate: the (type, slot, weight) terms of its score, in
-        the order `scores` adds them."""
+        """Per candidate: the (type, slot) pairs of its score, in the order
+        `scores` adds them; a pair adds the share times the type's
+        weight."""
         terms = [[] for _ in self.electorate.candidates.names]
         for i, vecs in enumerate(self._contributions):
             for j, pairs in enumerate(vecs):
-                for c, w in pairs:
-                    terms[c].append((i, j, w))
+                for c, _ in pairs:
+                    terms[c].append((i, j))
         return tuple(map(tuple, terms))
 
     @cached_property
@@ -200,7 +209,8 @@ class ContinuousDynamics:
             raise ValueError(f"need n >= 0 steps, got {n}")
         cand, offsets = self.electorate.candidates, self._offsets
         m, width = len(cand), offsets[-1]
-        terms = [[(offsets[i] + j, w) for i, j, w in c_terms] for c_terms in self._terms]
+        weights = [t.weight for t in self.electorate.types]
+        terms = [[(offsets[i] + j, weights[i]) for i, j in c_terms] for c_terms in self._terms]
         # per (winner, runner-up): every type's target as a flat slot, and
         # the unit state the rate 1 moves to
         target = np.zeros((m, m, len(self.admissible)), dtype=np.intp)
@@ -319,13 +329,86 @@ class ContinuousDynamics:
         return self.state_from_shares({name: {ballot: 1.0} for name, ballot in assignment.items()})
 
 
+_KERNEL_CACHE = 128  # compiled kernels kept, one per shape of dynamics
+
+_KERNEL = """\
+def winner(state):
+{read}
+    return names[sorted(indices, key=acc.__getitem__, reverse=True)[0]]
+def advance(state):
+{read}
+    {order}= sorted(indices, key=acc.__getitem__, reverse=True)
+    winner = names[o0]
+    p = p_open if {gate} else closed
+    if p == 0.0:
+        return winner, state
+    if p == 1.0:
+        return winner, units[o0, o1]
+    q = 1.0 - p
+    {targets}= slots[o0, o1]
+{moves}
+    return winner, ({points})
+"""
+
+_MOVE = """\
+    if s{i}[j{i}] == 1.0:
+        n{i} = t{i}
+    else:
+        new = [{blend}]
+        new[j{i}] += p
+        n{i} = point(tuple(new))"""
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _compiled(sizes: tuple[int, ...], terms: tuple) -> CodeType:
+    """The compiled source of ``advance`` and ``winner`` for dynamics whose
+    type i has ``sizes[i]`` admissible ballots and whose candidate c scores
+    the (type, slot) pairs ``terms[c]``.  Type i's point is ``t{i}``, its
+    shares ``s{i}`` and share j ``x{i}_{j}``; ``o{k}`` is the candidate
+    ranked k-th.  Only these indices enter the source, so the cache is
+    keyed by them, and a construction that hits it builds no source."""
+
+    def listed(v, n):  # the targets v0, v1, ... of an unpacking
+        return "".join([f"{v}{k}, " for k in range(n)])
+
+    shares = [[f"x{i}_{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    scores = [" + ".join(["0.0", *[f"x{i}_{j} * w{i}" for i, j in c_terms]]) for c_terms in terms]
+    read = [f"    {listed('t', len(sizes))}= state"]
+    read += [f"    {', '.join(xs)}, = s{i} = t{i}.shares" for i, xs in enumerate(shares)]
+    read.append(f"    acc = [{', '.join(scores)}]")
+    source = _KERNEL.format(
+        read="\n".join(read),
+        order=listed("o", len(terms)),
+        gate=" and ".join([f"acc[o{k}] - acc[o{k + 1}] >= threshold" for k in range(len(terms) - 1)]),
+        targets=listed("j", len(sizes)),
+        moves="\n".join([_MOVE.format(i=i, blend=", ".join([f"q * {x}" for x in xs])) for i, xs in enumerate(shares)]),
+        points=listed("n", len(sizes)),
+    )
+    return compile(source, "<continuous step kernel>", "exec")
+
+
 def _resolved_step(dyn: ContinuousDynamics):
     """The dynamics' ``(advance, winner)``: `scores`, `outcome`, `rate` and
-    `_move` with every lookup resolved here, once.  Candidate c's score
-    adds the terms (type, slot, weight) in the order `scores` adds them,
-    skipping zero shares as it does; the stable descending sort breaks ties
-    toward the lower index, as `outcome_from_tally` does; the `MarginGate`
-    is evaluated on the scores.  ``winner`` stops after the ranking.
+    `_move` as straight-line Python, written and compiled by `_compiled`
+    once per shape of dynamics and run in a namespace that holds this
+    dynamics' weights ``w{i}``, rates, candidate names, target slots and
+    unit states.  Only type, slot and rank indices enter the source, so no
+    name of the electorate is ever parsed as code, and dynamics of one
+    shape share one code object.
+
+    The kernel unpacks the state into its points and every point into its
+    shares, so a state with a wrong number of points or shares raises
+    `ValueError`.  Candidate c's score is ``0.0 + x * w + ...`` over its
+    terms in the order `scores` adds them.  `scores` skips a zero share;
+    adding it is exact: its product with a finite weight is +0.0 or -0.0,
+    adding either leaves every sum but -0.0 as it is, and a sum that
+    starts at +0.0 is never -0.0, since only -0.0 + -0.0 is.  The stable
+    descending sort breaks ties toward the lower index, as
+    `outcome_from_tally` does, and the `MarginGate` compares adjacent
+    scores of the ranking: rounding is monotone, so no other pair's margin
+    is smaller.  The p = 0 and p = 1 branches come first, as in `_move`;
+    each type's move blends its own number of shares, and a type already
+    at its target keeps its point.  ``winner`` stops after the ranking.
 
     Where the rate can be 1, every step that moves at rate 1 returns one
     of the kernel's unit states, so each unit state is stepped once here
@@ -333,58 +416,23 @@ def _resolved_step(dyn: ContinuousDynamics):
     table.  The table holds the objects, so an id it answers for cannot be
     reused."""
     cand = dyn.electorate.candidates
-    names = cand.names
-    terms = dyn._terms
-    indices = range(len(names))
     slots = {(cand.index(w), cand.index(r)): js for (w, r), js in dyn.targets.items()}
     units = {key: tuple(u[j] for u, j in zip(dyn._units, js)) for key, js in slots.items()}
-    p_open, threshold, closed = dyn.rate.p, dyn.rate.threshold, dyn.rate.closed
-
-    def rank(state):
-        shares = [point.shares for point in state]
-        acc = []
-        for c_terms in terms:
-            v = 0.0
-            for i, j, w in c_terms:
-                s = shares[i][j]
-                if s:
-                    v += s * w
-            acc.append(v)
-        return shares, acc, sorted(indices, key=acc.__getitem__, reverse=True)
-
-    def winner_of(state):
-        return names[rank(state)[2][0]]
-
-    def advance(state):
-        shares, acc, order = rank(state)
-        winner, pair = names[order[0]], (order[0], order[1])
-        # the gate's >= on adjacent scores of the ranking: rounding is
-        # monotone, so no other pair's margin is smaller
-        p = p_open
-        hi = acc[order[0]]
-        for k in order[1:]:
-            lo = acc[k]
-            if not hi - lo >= threshold:
-                p = closed
-                break
-            hi = lo
-        if p == 0.0:
-            return winner, state
-        if p == 1.0:
-            return winner, units[pair]
-        q = 1.0 - p
-        points = []
-        for point, j, sh in zip(state, slots[pair], shares):
-            if sh[j] == 1.0:
-                points.append(point)
-                continue
-            new = [q * s for s in sh]
-            new[j] += p
-            points.append(SimplexPoint(tuple(new)))
-        return winner, tuple(points)
-
-    if p_open != 1.0 and closed != 1.0:
-        return advance, winner_of
+    namespace = {f"w{i}": t.weight for i, t in enumerate(dyn.electorate.types)}
+    namespace.update(
+        names=cand.names,
+        indices=range(len(cand)),
+        p_open=dyn.rate.p,
+        threshold=dyn.rate.threshold,
+        closed=dyn.rate.closed,
+        slots=slots,
+        units=units,
+        point=SimplexPoint,
+    )
+    exec(_compiled(tuple(map(len, dyn.admissible)), dyn._terms), namespace)
+    advance, winner = namespace["advance"], namespace["winner"]
+    if dyn.rate.p != 1.0 and dyn.rate.closed != 1.0:
+        return advance, winner
     table = {id(s): (s, advance(s)) for s in units.values()}
 
     def tabled(state):
@@ -393,14 +441,14 @@ def _resolved_step(dyn: ContinuousDynamics):
             return hit[1]
         return advance(state)
 
-    return tabled, winner_of
+    return tabled, winner
 
 
 def sup_distance(s: ContinuousState, t: ContinuousState) -> float:
     """Sup norm over every ballot share of every type."""
     worst = 0.0
-    for a, b in zip(s, t):
-        for x, y in zip(a.shares, b.shares):
+    for a, b in zip(s, t, strict=True):
+        for x, y in zip(a.shares, b.shares, strict=True):
             worst = max(worst, abs(x - y))
     return worst
 

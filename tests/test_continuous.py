@@ -12,6 +12,7 @@ from pollsim import (
     Fallback,
     MarginGate,
     PollState,
+    SimplexPoint,
     TwoShareView,
     build_polling_graph,
     embed_discrete,
@@ -346,6 +347,39 @@ def test_sup_distance_zero_on_self():
     view = two_bloc_view(dyn)
     s = view.state(0.3, 0.7)
     assert sup_distance(s, s) == 0.0
+
+
+def _wrong_shapes(s):
+    """``s`` with a point too many or too few, and with a share too many
+    or too few in its first point."""
+    first = s[0].shares
+    return [
+        s + (SimplexPoint((1.0,)),),
+        s[:-1],
+        (SimplexPoint(first + (0.0,)), *s[1:]),
+        (SimplexPoint(first[:-1]), *s[1:]),
+    ]
+
+
+@pytest.mark.parametrize("make", [two_bloc_dynamics, lambda: embed_discrete(lr_cycle_electorate())])
+def test_a_state_of_the_wrong_shape_is_refused(make):
+    dyn = make()
+    s = dyn.state_from_vectors([[1 / len(b)] * len(b) for b in dyn.admissible])
+    # on the lift, dyn.step(s) is a unit state its table answers for
+    for good in (s, dyn.step(s)):
+        for bad in _wrong_shapes(good):
+            for call in (dyn.step, dyn.advance, dyn.winner, lambda t: sup_distance(good, t)):
+                with pytest.raises(ValueError):
+                    call(bad)
+
+
+def test_sup_distance_refuses_states_of_different_shapes():
+    dyn = two_bloc_dynamics()
+    s = two_bloc_view(dyn).state(0.3, 0.7)
+    with pytest.raises(ValueError):
+        sup_distance(s, s[:2])
+    with pytest.raises(ValueError):
+        sup_distance(s, (SimplexPoint((0.3, 0.7, 0.0)), *s[1:]))
 
 
 def test_simplex_preserved_along_random_orbits():

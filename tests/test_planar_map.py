@@ -2,12 +2,14 @@
 `winner`, `step`, `advance` and winners words that run it, against
 `reference_winner` and `reference_step`, built on `scores` and `safety`,
 bit for bit, on random configurations and states, including states where
-two or three scores tie exactly.  The n-step run, which writes the rest
-of an eventually periodic orbit's word by repetition, is checked against
-n one-step `advance` calls on every length around the point where it
-finds the cycle."""
+two or three scores tie exactly and configurations near the chaotic
+default one, whose orbits do not repeat an exact state.  The n-step run,
+which writes the rest of an eventually periodic orbit's word by
+repetition, is checked against n one-step `advance` calls on every
+length around the point where it finds the cycle."""
 
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -75,6 +77,28 @@ def tied_cases(draw):
     return config, (x, z)
 
 
+def _two_case(weights, rule, norm):
+    return ReluctanceConfig(*weights, safety_fn=SafetyFunction(SafetyKind.TWO_CASE, norm), b_score_rule=rule)
+
+
+DEFAULT_WEIGHTS = (3.0, 1.0, 3.0, 5.0)
+SCALED_WEIGHTS = (0.56, 0.08, 0.6, 0.81)
+D, L = BScoreRule.DERIVED, BScoreRule.LITERAL
+RAW, TOTAL = Normalization.RAW, Normalization.TOTAL_WEIGHT
+
+
+@st.composite
+def chaotic_cases(draw):
+    """The default weights, each times a factor in [0.99, 1.01], under
+    two-case safety and total normalization, from a start inside the
+    square: near the chaotic default configuration, where an orbit does
+    not repeat an exact state within `LONG` steps."""
+    factor = st.floats(0.99, 1.01)
+    config = _two_case([w * draw(factor) for w in DEFAULT_WEIGHTS], draw(st.sampled_from(list(BScoreRule))), TOTAL)
+    inside = st.floats(0.05, 0.95)
+    return config, (draw(inside), draw(inside))
+
+
 def bits(state):
     return tuple(v.hex() for v in state)  # tells -0.0 from 0.0
 
@@ -104,7 +128,7 @@ def test_resolved_map_equals_reference_at_exact_ties(case):
 
 
 @settings(deadline=None)
-@given(st.one_of(random_cases(), tied_cases()), st.integers(1, 200))
+@given(st.one_of(random_cases(), tied_cases(), chaotic_cases()), st.integers(1, 200))
 def test_resolved_orbit_equals_reference_orbit(case, n):
     config, start = case
     m = build_planar_map(config)
@@ -118,14 +142,6 @@ def test_resolved_orbit_equals_reference_orbit(case, n):
     assert m.winners_word(start, n) == winners_word(m, start, n).letters == word
 
 
-def _two_case(weights, rule, norm):
-    return ReluctanceConfig(*weights, safety_fn=SafetyFunction(SafetyKind.TWO_CASE, norm), b_score_rule=rule)
-
-
-DEFAULT_WEIGHTS = (3.0, 1.0, 3.0, 5.0)
-SCALED_WEIGHTS = (0.56, 0.08, 0.6, 0.81)
-D, L = BScoreRule.DERIVED, BScoreRule.LITERAL
-RAW, TOTAL = Normalization.RAW, Normalization.TOTAL_WEIGHT
 # the chaotic-words benchmark's configurations whose orbits close on an
 # exact float cycle; from (0.3, 0.7) the scaled derived/total one reaches
 # its 22-cycle at state 472
@@ -211,6 +227,16 @@ def test_run_equals_one_step_advances_on_a_chaotic_orbit(rule):
     # the default weights under total normalization: no state repeats in
     # 4,096 steps, so the run steps every letter
     assert _check_around_detection(_two_case(DEFAULT_WEIGHTS, rule, TOTAL), (0.3, 0.7)) is None
+
+
+def test_run_equals_one_step_advances_on_fixed_draws_near_the_chaotic_configuration():
+    # ten fixed draws from the ranges of chaotic_cases: none repeats an
+    # exact state in 4,096 steps, so the run steps every letter
+    rng = random.Random(2801)
+    for k in range(10):
+        weights = [w * rng.uniform(0.99, 1.01) for w in DEFAULT_WEIGHTS]
+        start = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        assert _check_around_detection(_two_case(weights, (D, L)[k % 2], TOTAL), start) is None
 
 
 def test_a_fixed_point_word_is_written_without_a_list_slot_per_letter():
