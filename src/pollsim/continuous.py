@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from types import CodeType
 from typing import Callable, Iterator
 
@@ -170,8 +170,8 @@ class ContinuousDynamics:
     def scores(self, state: ContinuousState) -> Tally:
         cand = self.electorate.candidates
         acc = [0.0] * len(cand)
-        for point, vecs in zip(state, self._contributions):
-            for share, pairs in zip(point.shares, vecs):
+        for point, vecs in zip(state, self._contributions, strict=True):
+            for share, pairs in zip(point.shares, vecs, strict=True):
                 if share:
                     for i, w in pairs:
                         acc[i] += share * w
@@ -220,8 +220,12 @@ class ContinuousDynamics:
         np.put_along_axis(unit, target, 1.0, axis=2)
         owner = np.repeat(np.arange(len(self.admissible)), np.diff(offsets))  # the type of each slot
         p_open, threshold, closed = self.rate.p, self.rate.threshold, self.rate.closed
-        x = np.array([[s for point in state for s in point.shares] for state in starts], dtype=np.float64)
-        x = x.reshape(len(starts), width)
+        shares = [point.shares for point in chain.from_iterable(starts)]
+        sizes = list(map(len, self.admissible))
+        if list(map(len, starts)) != [len(sizes)] * len(starts) or list(map(len, shares)) != sizes * len(starts):
+            for b, state in enumerate(starts):
+                self._check_sizes(state, f"start {b}")
+        x = np.fromiter(chain.from_iterable(shares), np.float64, len(starts) * width).reshape(len(starts), width)
         rows = np.arange(len(x))[:, None]
         states = np.empty((len(x), n + 1, width))
         winners = np.empty((len(x), n + 1), dtype=np.intp)
@@ -248,12 +252,20 @@ class ContinuousDynamics:
             x = np.where((p == 0.0)[:, None], x, moved)
         return np.array(cand.names)[winners], states
 
+    def _check_sizes(self, state: ContinuousState, what: str = "state") -> None:
+        """Raise ValueError unless ``state`` has one point per type, each
+        with one share per admissible ballot of its type."""
+        want = list(map(len, self.admissible))
+        if (got := [len(point.shares) for point in state]) != want:
+            raise ValueError(f"{what} has points of sizes {got}, need {want}")
+
     def _move(self, state: ContinuousState, out: Outcome) -> ContinuousState:
         """Reference move: the fraction p = rate(outcome) of every type
         goes to its target slot j: q = 1 - p of each share stays and the
         target gains p, which is p * unit + q * shares bit for bit.  A type
         already at its target keeps its point (blending would round 1 to
         p + q)."""
+        self._check_sizes(state)
         p = self.rate(out)
         if p == 0.0:
             return state

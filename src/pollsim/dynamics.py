@@ -69,6 +69,8 @@ class PollingGraph:
     ``states``, ``successor``, ``cycles`` and ``basin`` are `PollState`
     views built on first use; ``basin[k]`` is the set of states that
     eventually reach ``cycles[k]`` (the cycle's own states included).
+    The views serve callers and tests; the analysis output
+    (`electorate_io.format_analysis` and `export_dot`) reads the arrays.
     """
 
     electorate: Electorate

@@ -17,16 +17,21 @@ which would not read back.  The parser checks this syntax; the model's
 constructors check meaning (at least two distinct candidates, complete
 preferences, the leader rule's tie-free preference, weights), and
 `parse_electorate` raises their errors again as `ParseError` at the
-token concerned.  It asks `Strategy.admits` before it builds a type, so
+token concerned.  A preference is checked once, by
+`Preference.from_groups`; only when that refuses it does the parser look
+for an empty or unknown name to place the error at, else the error (a
+repeat, also inside one tie-group, or a missing candidate) is placed at
+the preference.  It asks `Strategy.admits` before it builds a type, so
 a leader-rule type with a tie fails at its strategy and any other type
-error at its weight.
+error at its weight.  `format_analysis` and `export_dot` read the poll
+graph's pair-index arrays, not its `PollState` views.
 """
 
 from __future__ import annotations
 
 import re
 
-from .dynamics import DynamicsReport, PollingGraph, PollState
+from .dynamics import DynamicsReport, PollingGraph
 from .majority import CondorcetReport
 from .model import CandidateSet, Electorate, Preference, VoterType
 from .strategies import Strategy
@@ -103,16 +108,16 @@ def parse_electorate(text: str) -> Electorate:
         pref_tok, weight_tok, strat_tok = fields if len(fields) == 3 else (*fields, "MLR")
 
         groups = [group.split("=") for group in pref_tok.split(">")]
-        parts = [n for group in groups for n in group]
-        for n in parts:
-            if not n:
-                raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)", 0)
-            if n not in candidates:  # no earlier part equals n: each was a candidate
-                at = sum(len(m) + 1 for m in parts[:parts.index(n)])
-                raise _fail(lineno, raw, n, f"unknown candidate {n!r}", 0, at)
         try:
             preference = Preference.from_groups(candidates, groups)
-        except ValueError as exc:
+        except ValueError as exc:  # an empty or unknown name is placed at itself, the rest at the token
+            parts = [n for group in groups for n in group]
+            for n in parts:
+                if not n:
+                    raise _fail(lineno, raw, pref_tok, "malformed preference (empty group or name)", 0)
+                if n not in candidates:  # no earlier part equals n: each was a candidate
+                    at = sum(len(m) + 1 for m in parts[:parts.index(n)])
+                    raise _fail(lineno, raw, n, f"unknown candidate {n!r}", 0, at)
             raise _fail(lineno, raw, pref_tok, str(exc), 0) from None
         try:
             weight = float(weight_tok)
@@ -170,25 +175,6 @@ def preference_notation(pref: Preference) -> str:
     return " > ".join("=".join(sorted(g, key=order)) for g in pref.groups)
 
 
-def _transient_heights(graph: PollingGraph) -> dict:
-    """Longest incoming path length per transient state: the state cannot
-    occur after height+1 poll iterations.  Iterating the image of the
-    state set, a transient state of height h leaves it at iteration h+1."""
-    recurrent = sum(len(cyc) for cyc in graph.cycles)
-    heights: dict[PollState, int] = {}
-    image = set(graph.states)
-    k = 0
-    while len(image) > recurrent:
-        nxt = {graph.successor[s] for s in image}
-        heights.update((s, k) for s in image - nxt)
-        image, k = nxt, k + 1
-    return heights
-
-
-def _node_id(s: PollState) -> str:
-    return s.label.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
     """DOT rendering of a polling graph and its classification report.
 
@@ -200,34 +186,49 @@ def export_dot(graph: PollingGraph, report: DynamicsReport) -> str:
     that iteration count).  Node IDs escape ``\\`` and ``"``.
     """
     lines = ["digraph polling_dynamics {", "  rankdir=LR;", '  node [style=filled, fillcolor=white];']
-    on_cycle = {s for cyc in graph.cycles for s in cyc}
-    cw = report.condorcet_winner  # None elects no state
-    heights = _transient_heights(graph)
+    candidates, succ = graph.electorate.candidates, graph.succ
+    names, n = candidates.names, len(candidates)
+    # the quoted, escaped `PollState.label` of each pair index: escaping is
+    # per character, and neither "" nor ">" between the names holds \ or "
+    escaped = [name.replace("\\", "\\\\").replace('"', '\\"') for name in names]
+    ids = [f'"{escaped[w]}{"" if len(names[w]) == len(names[r]) == 1 else ">"}{escaped[r]}"'
+           for w in range(n) for r in range(n)]
+    states = [i for i, k in enumerate(graph.label) if k >= 0]  # the diagonal's -1 is no state
+    on_cycle = {i for cyc in graph.cycle_ids for i in cyc}
+    cw = -1 if report.condorcet_winner is None else candidates.index(report.condorcet_winner)
 
-    for s in graph.states:
-        if s in on_cycle:
-            if s.winner == cw:
+    # Longest incoming path per transient state: iterating the image of the
+    # state set, a transient state of height h leaves it at iteration h + 1.
+    heights: dict[int, int] = {}
+    image, k = set(states), 0
+    while len(image) > len(on_cycle):
+        nxt = {succ[i] for i in image}
+        heights.update(dict.fromkeys(image - nxt, k))
+        image, k = nxt, k + 1
+
+    for i in states:
+        if i in on_cycle:
+            if i // n == cw:
                 attrs = "fillcolor=lightgreen"
-            elif graph.is_fixed_point(s):
+            elif succ[i] == i:
                 attrs = "fillcolor=red"
             else:
                 attrs = "fillcolor=orange"
         else:
-            fill = "green" if s.winner == cw else "grey"
-            attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[s] + 1} iterations"'
-        lines.append(f'  "{_node_id(s)}" [{attrs}];')
+            fill = "green" if i // n == cw else "grey"
+            attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[i] + 1} iterations"'
+        lines.append(f"  {ids[i]} [{attrs}];")
 
-    for s in graph.states:
-        t = graph.successor[s]
-        if t != s:
-            lines.append(f'  "{_node_id(s)}" -> "{_node_id(t)}";')
+    for i in states:
+        if succ[i] != i:
+            lines.append(f"  {ids[i]} -> {ids[succ[i]]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def format_analysis(report: CondorcetReport, dynamics: DynamicsReport, graph: PollingGraph) -> str:
     """Human-readable analysis summary used by the command line."""
-    total = len(graph.states)
+    total = len(graph.label) - graph.label.count(-1)  # -1 only on the diagonal
     out = []
     out.append(f"Condorcet winner: {report.condorcet_winner or 'none'}")
     out.append(f"Condorcet loser: {report.condorcet_loser or 'none'}")

@@ -37,10 +37,14 @@ class CandidateSet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate candidate names")
 
+    @cached_property
+    def _position(self) -> dict[Candidate, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: Candidate) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._position[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError(f"unknown candidate {name!r}") from None
 
     def __len__(self) -> int:
@@ -50,7 +54,10 @@ class CandidateSet:
         return iter(self.names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.names
+        try:
+            return name in self._position
+        except TypeError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -75,22 +82,25 @@ class Preference:
 
     @classmethod
     def from_groups(cls, candidates: CandidateSet, groups: Iterable[Iterable[Candidate]]) -> "Preference":
-        """Validating constructor from most-to-least preferred tie-groups."""
-        rank: dict[Candidate, int] = {}
+        """Validating constructor from most-to-least preferred tie-groups.
+
+        One pass writes each name's group index into the rank vector: no
+        group is empty, and every candidate is named exactly once, so a
+        repeat inside one tie-group (``a=a``) is refused like any other."""
+        ranks = [-1] * len(candidates)
         for i, group in enumerate(groups):
-            group = frozenset(group)
+            group = tuple(group)
             if not group:
                 raise ValueError("empty tie-group")
             for name in group:
-                if name not in candidates:
-                    raise ValueError(f"unknown candidate {name!r}")
-                if name in rank:
+                j = candidates.index(name)
+                if ranks[j] >= 0:
                     raise ValueError(f"candidate {name!r} repeated in preference")
-                rank[name] = i
-        if len(rank) != len(candidates):
-            missing = [n for n in candidates if n not in rank]
+                ranks[j] = i
+        if -1 in ranks:
+            missing = [n for n, r in zip(candidates.names, ranks) if r < 0]
             raise ValueError(f"incomplete preference, missing {missing}")
-        return cls(candidates, tuple(rank[n] for n in candidates))
+        return cls(candidates, tuple(ranks))
 
     @classmethod
     def from_notation(cls, candidates: CandidateSet, text: str) -> "Preference":

@@ -350,14 +350,16 @@ def test_sup_distance_zero_on_self():
 
 
 def _wrong_shapes(s):
-    """``s`` with a point too many or too few, and with a share too many
-    or too few in its first point."""
+    """``s`` with a point too many or too few, with a share too many or
+    too few in its first point, and with the first point's last share
+    moved to the second point, which keeps the flat width."""
     first = s[0].shares
     return [
         s + (SimplexPoint((1.0,)),),
         s[:-1],
         (SimplexPoint(first + (0.0,)), *s[1:]),
         (SimplexPoint(first[:-1]), *s[1:]),
+        (SimplexPoint(first[:-1]), SimplexPoint(first[-1:] + s[1].shares), *s[2:]),
     ]
 
 
@@ -368,7 +370,8 @@ def test_a_state_of_the_wrong_shape_is_refused(make):
     # on the lift, dyn.step(s) is a unit state its table answers for
     for good in (s, dyn.step(s)):
         for bad in _wrong_shapes(good):
-            for call in (dyn.step, dyn.advance, dyn.winner, lambda t: sup_distance(good, t)):
+            for call in (dyn.step, dyn.advance, dyn.winner, lambda t: sup_distance(good, t), dyn.outcome,
+                         lambda t: dyn._move(t, dyn.outcome(good)), lambda t: dyn.run_many([good, t], 1)):
                 with pytest.raises(ValueError):
                     call(bad)
 

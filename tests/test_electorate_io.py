@@ -126,6 +126,9 @@ def test_any_whitespace_ends_the_keyword():
     ("candidates: a b\ntype Z: a>b 0\ntype W: b>a 0", "total weight must be positive", (1, 1)),
     ("candidates: a b\ntype Z: a>b nan", "finite", (2, len("type Z: a>b ") + 1)),
     ("candidates: a b\ntype Z: a>b=a 1", "repeated", (2, len("type Z: ") + 1)),
+    # a repeat inside one tie-group is refused too, not read as a single name
+    ("candidates: a b c\ntype Z: a=a>b>c 1", "candidate 'a' repeated in preference", (2, len("type Z: ") + 1)),
+    ("candidates: a b c\ntype a: b>c=c=a 1", "candidate 'c' repeated in preference", (2, len("type a: ") + 1)),
     ("candidates:", "at least two candidates", (1, 1)),
     ("candidates: a", "at least two candidates", (1, 1)),
     ("candidates: a b c\ntype Z: a=b>c 1 LR", "uses the leader rule", (2, len("type Z: a=b>c 1 ") + 1)),
@@ -312,3 +315,72 @@ def test_format_analysis_loser_electorate(loser_electorate):
     assert "bad 2-cycle {ab, ca}" in text
     assert "bad dynamics: yes" in text
     assert "basin 4/6" in text
+
+
+def reference_dot(graph, report) -> str:
+    """The DOT export written on the graph's `PollState` views: the
+    readable reference that `export_dot` matches byte for byte."""
+    def node_id(s):
+        return s.label.replace("\\", "\\\\").replace('"', '\\"')
+
+    # a transient state of height h leaves the image of the state set at iteration h + 1
+    heights, image, k = {}, set(graph.states), 0
+    while len(image) > sum(len(cyc) for cyc in graph.cycles):
+        nxt = {graph.successor[s] for s in image}
+        heights.update((s, k) for s in image - nxt)
+        image, k = nxt, k + 1
+    on_cycle = {s for cyc in graph.cycles for s in cyc}
+    cw = report.condorcet_winner
+    lines = ["digraph polling_dynamics {", "  rankdir=LR;", '  node [style=filled, fillcolor=white];']
+    for s in graph.states:
+        if s in on_cycle:
+            if s.winner == cw:
+                attrs = "fillcolor=lightgreen"
+            elif graph.is_fixed_point(s):
+                attrs = "fillcolor=red"
+            else:
+                attrs = "fillcolor=orange"
+        else:
+            fill = "green" if s.winner == cw else "grey"
+            attrs = f'fillcolor={fill}, tooltip="cannot occur after {heights[s] + 1} iterations"'
+        lines.append(f'  "{node_id(s)}" [{attrs}];')
+    for s in graph.states:
+        t = graph.successor[s]
+        if t != s:
+            lines.append(f'  "{node_id(s)}" -> "{node_id(t)}";')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _weak_order(raw):  # any list of ints -> ranks 0..k-1 of the same order
+    levels = sorted(set(raw))
+    return tuple(levels.index(r) for r in raw)
+
+
+@st.composite
+def _electorates(draw):
+    """Single- and multi-character names holding '"' and '\\', and integer
+    weights, so that exact tally ties and fixed points occur."""
+    names = draw(st.lists(st.text('ab"\\', min_size=1, max_size=3), min_size=2, max_size=5, unique=True))
+    cs = CandidateSet(tuple(names))
+    types = []
+    for i in range(draw(st.integers(1, 6))):
+        pref = Preference(cs, _weak_order(draw(st.lists(st.integers(0, 3), min_size=len(names),
+                                                        max_size=len(names)))))
+        strategy = Strategy.LEADER_RULE if pref.tie_free and draw(st.booleans()) else Strategy.MODIFIED_LEADER_RULE
+        types.append(VoterType(f"T{i}", pref, draw(st.integers(int(i == 0), 4)), strategy))
+    return Electorate(cs, tuple(types))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_electorates(), st.booleans())
+@example(consensual_loser_electorate(), False)
+@example(lr_cycle_electorate(), False)
+def test_dot_export_equals_the_poll_state_reference(electorate, strong):
+    report = condorcet_analysis(electorate, strong=strong)
+    graph = build_polling_graph(electorate, report)
+    dynamics = classify(graph, report)
+    format_analysis(report, dynamics, graph)
+    dot = export_dot(graph, dynamics)
+    assert "_state_of" not in graph.__dict__  # the analysis output built no `PollState` view
+    assert dot == reference_dot(graph, dynamics)
+    check_dot_syntax(dot)

@@ -25,7 +25,10 @@ after one step and stays there.  The 2^16-letter planar words of
 eventually periodic orbits, their end states after 2^16 + 5 steps, and
 the raw-normalization reluctance entropy output were taken before the
 planar run found an orbit's exact cycle and wrote the rest of the word
-by repetition."""
+by repetition.  The analysis digests of sampled electorates and of names
+holding '"' and '\\' were taken before the DOT export and the summary
+read the poll graph's pair-index arrays and a preference was parsed in
+one pass."""
 
 import hashlib
 from pathlib import Path
@@ -47,6 +50,11 @@ from pollsim import (
 )
 from pollsim.behaviors import _resolved_map
 from pollsim.cli import main
+from pollsim.cultures import CultureKind, CultureSpec, sample_electorate
+from pollsim.dynamics import build_polling_graph, classify
+from pollsim.electorate_io import export_dot, format_analysis, parse_electorate, serialize_electorate
+from pollsim.majority import condorcet_analysis
+from pollsim.strategies import Strategy
 
 GRID = ["grid", "--model", "twobloc", "--res", "30", "--iters", "8"]
 RELUCTANCE_GRID = ["grid", "--model", "reluctance", "--res", "30", "--iters", "8"]
@@ -153,6 +161,76 @@ def test_analyze_dot_digest(name, capsys, tmp_path):
 @pytest.mark.parametrize("name", STRONG_OUTPUTS)
 def test_analyze_strong_dot_digest(name, capsys, tmp_path):
     assert _analyze_digest([str(DATA / f"{name}.txt"), "--strong"], capsys, tmp_path) == STRONG_OUTPUTS[name]
+
+
+# `format_analysis` followed by `export_dot` of sampled electorates: 12
+# types, trial index = candidate count, seed 30; impartial culture under
+# the leader rule and spatial (d = 2) under the modified leader rule
+GENERATED_ANALYSES = {
+    ("impartial", 3): "32cdd13d37ac444ab16c548251d1fc3090df433ed69faaee50b9987bd66d6bbb",
+    ("impartial", 4): "3498014e682183f9d14972b49f0fb259189c7a2c6d386cffdc02dc9a6fa1cdaa",
+    ("impartial", 5): "2e10d2f404c5b46472adc568b25c9a333a2ca98b32b8528ba2e52c9f45a62c77",
+    ("impartial", 6): "c62e4462b74e3eff7eb6412ac8386e9d1f747b19214b68f3491457bcf28adb13",
+    ("impartial", 7): "89c3f859ef8521bd8627bbd8fceabffee51ea97402d802acdfaed9844bc4bbfd",
+    ("impartial", 8): "fba2a54872c2699f6a8204c7165cd17d6e150c7430b5cf3d022915be2bba0186",
+    ("impartial", 9): "d57f9e1f35dc74377f6b26f6304d9fff1e47ecb887a45abb67dfa6b7af5faeaf",
+    ("impartial", 10): "2c65dfb09fce03942594837b70b497b09bc832f77f38021e549ca5d2664cf64f",
+    ("impartial", 11): "49a2df40725ea3a8aa33b86cba307477a1ace13b87bef75c29857f7796dec43b",
+    ("impartial", 12): "085d46fa26412232c3cba90d9a826b5b8c3d5eb8491df1843d5754ec69f65f28",
+    ("spatial", 3): "828d102b1ac8efdda4bbc1815bc1e12966f1fa725c441050dbcf478739e57469",
+    ("spatial", 4): "6e1e790066ed3c8ce14161e66fed6d45dec808412bc1a04d705cfe75e51e8ca3",
+    ("spatial", 5): "05c5c9156b8279f419c04678898c4d4e1b08b355b0064eeed9a6c5071dd06f55",
+    ("spatial", 6): "31344992c6b6f42f4e460622c8b2a695a9a44090fb71b0f4c90653787369d3c2",
+    ("spatial", 7): "ba37db7441837e915c2629bec139057f3a8a07d0075120c8f63b02bd225eb910",
+    ("spatial", 8): "be0d848825123bd1f15cf0032d3aece1db5d2af47852800d5c8667eeb19df277",
+    ("spatial", 9): "9f407e88e361e38c044022115f6f9636e7ef287f86dd4a80e1c7439d92681b3a",
+    ("spatial", 10): "f818af476333239c054607eac2a8d1f2d40bd32e8b25df878d777cc2108c62d0",
+    ("spatial", 11): "3a9c06277e304c5d8aa4547135a3320d99060f920ce1d410822663e0617387e1",
+    ("spatial", 12): "b9612908a6c98957cbb7379e897a80a8f2d3f97b9e21135f3c9fb01a3cdef16f",
+}
+_CULTURES = {"impartial": (CultureKind.IMPARTIAL, Strategy.LEADER_RULE, 0),
+             "spatial": (CultureKind.SPATIAL, Strategy.MODIFIED_LEADER_RULE, 2)}
+
+# the worked examples of tests/data with multi-character names holding '"'
+# and '\', whose state labels join winner and runner-up with '>'
+ESCAPED_TEXTS = {
+    "lr_cycle": (r'''candidates: a" \b "c\ d\"
+type T: a">\b>"c\>d\" 100 LR
+type U: \b>a">"c\>d\" 1000 LR
+type X: \b>"c\>a">d\" 1004 LR
+type V: "c\>a">d\">\b 1001 LR
+type Y: "c\>d\">a">\b 1008 LR
+type W: d\">a">\b>"c\ 1002 LR
+type Z: d\">\b>a">"c\ 1016 LR
+''', "8b21af83b44da82e9986fb782172fcb1ca08d6364e55869361986f2666fa246a"),
+    "consensual_loser": (r'''candidates: a" \b "c\
+type Z: a">\b>"c\ 101 MLR
+type Y: a">\b="c\ 2 MLR
+type X: \b>a">"c\ 100 MLR
+type W: "c\>a"=\b 104 MLR
+''', "095404672129fbf4bc02fc179d55ca695add4e0f8371f4318d4f4574db621f98"),
+}
+
+
+def _analysis_digest(text: str) -> str:
+    e = parse_electorate(text)
+    report = condorcet_analysis(e)
+    graph = build_polling_graph(e, report)
+    dynamics = classify(graph, report)
+    return _digest((format_analysis(report, dynamics, graph) + export_dot(graph, dynamics)).encode())
+
+
+@pytest.mark.parametrize("culture, n", GENERATED_ANALYSES)
+def test_generated_electorate_analysis_digest(culture, n):
+    kind, strategy, dimension = _CULTURES[culture]
+    e = sample_electorate(CultureSpec(kind, n, 12, strategy, seed=30, dimension=dimension), n)
+    assert _analysis_digest(serialize_electorate(e)) == GENERATED_ANALYSES[culture, n]
+
+
+@pytest.mark.parametrize("name", ESCAPED_TEXTS)
+def test_escaped_names_analysis_digest(name):
+    text, digest = ESCAPED_TEXTS[name]
+    assert _analysis_digest(text) == digest
 
 
 def test_entropy_twobloc_half_digest(capsys, tmp_path):

@@ -27,8 +27,19 @@ def test_candidate_set_validation():
         CandidateSet(("a", "a"))
     cs = CandidateSet(("a", "b"))
     assert cs.index("b") == 1
-    with pytest.raises(ValueError):
-        cs.index("q")
+    assert "b" in cs and "q" not in cs
+    for name in ("q", ["a"]):  # an unhashable name is no candidate either
+        with pytest.raises(ValueError, match="unknown candidate"):
+            cs.index(name)
+    assert ["a"] not in cs
+
+
+def test_a_name_repeated_inside_one_tie_group_is_refused(abc):
+    with pytest.raises(ValueError, match="candidate 'a' repeated in preference"):
+        Preference.from_groups(abc, [["a", "a"], ["b", "c"]])
+    with pytest.raises(ValueError, match="candidate 'a' repeated in preference"):
+        Preference.from_notation(abc, "(aa)bc")
+    assert Preference.from_groups(abc, (iter("a"), "cb")) == pref(abc, "a(bc)")  # any iterables
 
 
 def test_preference_validation(abcd):
