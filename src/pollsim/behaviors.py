@@ -127,15 +127,14 @@ class PlanarReluctanceMap:
 
     One closure, specialized to the configuration by `_resolved_map` at
     construction, runs n steps from a state in the unit square:
-    `winners_word` is its n letters, `advance(state) -> (winner, next
-    state)` its run of one step, and `winner` and `step` the halves of
-    `advance`; `run_many` steps it from many starts.  `reference_winner`
-    and `reference_step`, built on `scores`
-    and `safety`, are the readable reference; the closure does the same
-    float operations in the same order.  Once an orbit returns to an
-    earlier float state, the closure writes the rest of the word by
-    repetition (see `_resolved_map`); letters and end state are still
-    those of n steps."""
+    `winners_word` is its n letters, and `advance(state) -> (winner, next
+    state)`, the map as an orbit source, its run of one step; `run_many`
+    steps it from many starts.  `reference_winner` and `reference_step`,
+    built on `scores` and `safety`, are the readable reference; the
+    closure does the same float operations in the same order.  Once an
+    orbit returns to an earlier float state, the closure writes the rest
+    of the word by repetition (see `_resolved_map`); letters and end
+    state are still those of n steps."""
 
     def __init__(self, config: ReluctanceConfig):
         self.config = config
@@ -145,9 +144,11 @@ class PlanarReluctanceMap:
         return PlanarReluctanceMap, (self.config,)
 
     def winner(self, state: tuple[float, float]) -> str:
+        """``advance``'s winner, which perfbench calls and wraps."""
         return self._run(state, 1)[0]
 
     def step(self, state: tuple[float, float]) -> tuple[float, float]:
+        """``advance``'s next state, which perfbench calls and wraps."""
         return self._run(state, 1)[1]
 
     def advance(self, state: tuple[float, float]) -> tuple[str, tuple[float, float]]:
@@ -298,16 +299,14 @@ class TentModel:
     def scores(self, z: float) -> tuple[float, float, float]:
         return (self.n_z, self.n_y + self.n_z * float(z), self.n_x)
 
-    def winner(self, z) -> str:
-        return self.advance(z)[0]
-
     def step(self, z):
+        """``advance``'s tent image, which ``demos/tent_entropy.py`` calls."""
         return self.advance(z)[1]
 
     def advance(self, z):
-        """The winner at z and the tent image of z, from one doubling of z;
-        `winner` and `step` return its two halves.  Refuses z outside
-        [0, 1], NaN included."""
+        """The winner at z and the tent image of z, from one doubling of z:
+        the model as an orbit source.  Refuses z outside [0, 1], NaN
+        included."""
         if not 0 <= z <= 1:
             raise ValueError(f"tent state {z} lies outside [0, 1]")
         if isinstance(z, Fraction):

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``analyze`` and ``graph`` work on electorate files, ``mc``
-runs a Monte Carlo culture condition, ``cpd-orbit`` iterates one of the
-continuous models, ``entropy`` estimates the entropy rate of a winners
-word, and ``grid`` dumps grid-of-orbits scatter data.  All randomness is
-controlled by ``--seed``; exit code 2 flags a usage or validation error.
+Subcommands: ``analyze`` reports on an electorate file (``--dot`` also
+writes its poll graph), ``mc`` runs a Monte Carlo culture condition,
+``cpd-orbit`` iterates one of the continuous models, ``entropy``
+estimates the entropy rate of a winners word, and ``grid`` dumps
+grid-of-orbits scatter data.  All randomness is controlled by
+``--seed``; exit code 2 flags a usage or validation error.
 """
 
 from __future__ import annotations
@@ -45,26 +46,14 @@ def _load_electorate(path: str):
         return parse_electorate(fh.read())
 
 
-def _analysis(path: str, strong: bool = False):
-    """Condorcet report, poll graph and its classification of an
-    electorate file."""
-    electorate = _load_electorate(path)
-    report = condorcet_analysis(electorate, strong=strong)
-    graph = build_polling_graph(electorate, report=report)
-    return report, graph, classify(graph, report)
-
-
 def _cmd_analyze(args) -> int:
-    report, graph, dynamics = _analysis(args.file, args.strong)
+    electorate = _load_electorate(args.file)
+    report = condorcet_analysis(electorate, strong=args.strong)
+    graph = build_polling_graph(electorate, report=report)
+    dynamics = classify(graph, report)
     sys.stdout.write(format_analysis(report, dynamics, graph))
     if args.dot:
         _write_or_print(export_dot(graph, dynamics), args.dot)
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    _, graph, dynamics = _analysis(args.file)
-    _write_or_print(export_dot(graph, dynamics), args.dot)
     return 0
 
 
@@ -240,11 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="also write the graph as DOT")
     p.add_argument("--strong", action="store_true", help="use the strict-majority Condorcet definition")
     p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("graph", help="DOT export of the poll graph")
-    p.add_argument("file")
-    p.add_argument("--dot", required=True)
-    p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("mc", help="Monte Carlo culture condition")
     p.add_argument("--culture", choices=["impartial", "spatial"], required=True)

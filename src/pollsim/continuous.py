@@ -10,7 +10,7 @@ pickles: the perturbed dynamics gates the rate on the pairwise score
 margins (`perturbed_dynamics`), and the discrete dynamics embeds as the
 gate of rate 1 that never closes (`embed_discrete`).
 
-`ContinuousDynamics.step`, `advance` and `winner` run one kernel that
+`ContinuousDynamics.advance` runs the one kernel function that
 `_resolved_step` compiles from Python source at construction: straight
 lines for the dynamics' numbers of types, shares and candidates, with no
 loop over them.  Only those indices enter the source; the weights, rates,
@@ -18,9 +18,11 @@ names and targets are values in the namespace the kernel runs in, and
 dynamics of one shape share one cached code object.  The kernel adds a
 zero share's product as `scores` would skip it, which changes no bit,
 and it unpacks every point and share, so a state of the wrong shape
-raises `ValueError`; `winner` stops after the ranking.  Where the rate
-can be 1, the kernel also answers its own unit states from a table it
-fills at construction.
+raises `ValueError`.  Where the rate can be 1, the kernel also answers
+its own unit states from a table it fills at construction.  Like the
+planar and tent models, a dynamics is an orbit source through that one
+method, ``advance(state) -> (winner, next state)``, which `orbit_rows`
+drives.
 `ContinuousDynamics.run_many` does the kernel's float operations on the
 orbits of many starts at once, as one array.  `scores`, `outcome` and
 `_move` are the readable reference that all of them match bit for bit.
@@ -67,26 +69,23 @@ def orbit_rows(
 ) -> Iterator[tuple[int, object, str]]:
     """Yield (step, state, winner) for every ``keep_every``-th state of the
     orbit of ``start`` under ``source`` after a transient of ``discard``
-    steps, up to step ``discard + n_steps``.  ``source.advance(state)``
-    equals ``(source.winner(state), source.step(state))`` from one
-    evaluation; a kept state's winner comes with its step from one
-    ``advance`` call, and no step is taken past the last state yielded."""
+    steps, up to step ``discard + n_steps``.  A source is its one method
+    ``source.advance(state) -> (winner, next state)``; it is called once
+    for every state up to the last row yielded, whose next state is
+    dropped, and never past it."""
     if n_steps < 0 or discard < 0:
         raise ValueError("n_steps and discard must be non-negative")
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
-    step, advance = source.step, source.advance
+    advance = source.advance
     last = discard + n_steps - n_steps % keep_every
+    kept = range(discard, last + 1, keep_every)
     s = start
-    for _ in range(discard):
-        s = step(s)
-    for k in range(discard, last, keep_every):
+    for k in range(last + 1):
         w, nxt = advance(s)
-        yield k, s, w
+        if k in kept:
+            yield k, s, w
         s = nxt
-        for _ in range(keep_every - 1):
-            s = step(s)
-    yield last, s, source.winner(s)
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,7 @@ class ContinuousDynamics:
     def __post_init__(self) -> None:
         if type(self.rate) is not MarginGate:
             raise TypeError(f"the rate must be a MarginGate, got {type(self.rate).__name__}")
-        advance, winner = _resolved_step(self)
-        object.__setattr__(self, "_advance", advance)
-        object.__setattr__(self, "_winner", winner)
+        object.__setattr__(self, "_advance", _resolved_step(self))
 
     def __reduce__(self):  # the kernel does not pickle; the fields do
         return ContinuousDynamics, (self.electorate, self.admissible, self.targets, self.rate)
@@ -180,10 +177,8 @@ class ContinuousDynamics:
     def outcome(self, state: ContinuousState) -> Outcome:
         return outcome_from_tally(self.scores(state))
 
-    def winner(self, state: ContinuousState) -> str:
-        return self._winner(state)
-
     def step(self, state: ContinuousState) -> ContinuousState:
+        """``advance``'s next state, which perfbench calls and wraps."""
         return self._advance(state)[1]
 
     def advance(self, state: ContinuousState) -> tuple[str, ContinuousState]:
@@ -344,9 +339,6 @@ class ContinuousDynamics:
 _KERNEL_CACHE = 128  # compiled kernels kept, one per shape of dynamics
 
 _KERNEL = """\
-def winner(state):
-{read}
-    return names[sorted(indices, key=acc.__getitem__, reverse=True)[0]]
 def advance(state):
 {read}
     {order}= sorted(indices, key=acc.__getitem__, reverse=True)
@@ -373,7 +365,7 @@ _MOVE = """\
 
 @lru_cache(maxsize=_KERNEL_CACHE)
 def _compiled(sizes: tuple[int, ...], terms: tuple) -> CodeType:
-    """The compiled source of ``advance`` and ``winner`` for dynamics whose
+    """The compiled source of ``advance`` for dynamics whose
     type i has ``sizes[i]`` admissible ballots and whose candidate c scores
     the (type, slot) pairs ``terms[c]``.  Type i's point is ``t{i}``, its
     shares ``s{i}`` and share j ``x{i}_{j}``; ``o{k}`` is the candidate
@@ -400,7 +392,7 @@ def _compiled(sizes: tuple[int, ...], terms: tuple) -> CodeType:
 
 
 def _resolved_step(dyn: ContinuousDynamics):
-    """The dynamics' ``(advance, winner)``: `scores`, `outcome`, `rate` and
+    """The dynamics' ``advance``: `scores`, `outcome`, `rate` and
     `_move` as straight-line Python, written and compiled by `_compiled`
     once per shape of dynamics and run in a namespace that holds this
     dynamics' weights ``w{i}``, rates, candidate names, target slots and
@@ -420,7 +412,7 @@ def _resolved_step(dyn: ContinuousDynamics):
     scores of the ranking: rounding is monotone, so no other pair's margin
     is smaller.  The p = 0 and p = 1 branches come first, as in `_move`;
     each type's move blends its own number of shares, and a type already
-    at its target keeps its point.  ``winner`` stops after the ranking.
+    at its target keeps its point.
 
     Where the rate can be 1, every step that moves at rate 1 returns one
     of the kernel's unit states, so each unit state is stepped once here
@@ -442,9 +434,9 @@ def _resolved_step(dyn: ContinuousDynamics):
         point=SimplexPoint,
     )
     exec(_compiled(tuple(map(len, dyn.admissible)), dyn._terms), namespace)
-    advance, winner = namespace["advance"], namespace["winner"]
+    advance = namespace["advance"]
     if dyn.rate.p != 1.0 and dyn.rate.closed != 1.0:
-        return advance, winner
+        return advance
     table = {id(s): (s, advance(s)) for s in units.values()}
 
     def tabled(state):
@@ -453,7 +445,7 @@ def _resolved_step(dyn: ContinuousDynamics):
             return hit[1]
         return advance(state)
 
-    return tabled, winner
+    return tabled
 
 
 def sup_distance(s: ContinuousState, t: ContinuousState) -> float:

@@ -21,10 +21,11 @@ token concerned.  A preference is checked once, by
 `Preference.from_groups`; only when that refuses it does the parser look
 for an empty or unknown name to place the error at, else the error (a
 repeat, also inside one tie-group, or a missing candidate) is placed at
-the preference.  It asks `Strategy.admits` before it builds a type, so
-a leader-rule type with a tie fails at its strategy and any other type
-error at its weight.  `format_analysis` and `export_dot` read the poll
-graph's pair-index arrays, not its `PollState` views.
+the preference.  A type is checked once too, by `VoterType`; only when
+that refuses it does the parser ask `Strategy.admits`, so a leader-rule
+type with a tie fails at its strategy and any other type error at its
+weight.  `format_analysis` and `export_dot` read the poll graph's
+pair-index arrays, not its `PollState` views.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ def parse_electorate(text: str) -> Electorate:
             strategy = Strategy(strat_tok)
         except ValueError:
             raise _fail(lineno, raw, strat_tok, f"unknown strategy {strat_tok!r} (expected LR or MLR)", 2) from None
-        if not strategy.admits(preference):
-            raise _fail(lineno, raw, strat_tok, f"type {name!r} uses the leader rule but has a tied preference", 2)
         try:
             types[name] = VoterType(name, preference, weight, strategy)
-        except ValueError as exc:
+        except ValueError as exc:  # the leader rule's refusal is placed at the strategy, the rest at the weight
+            if not strategy.admits(preference):
+                raise _fail(lineno, raw, strat_tok, str(exc), 2) from None
             raise _fail(lineno, raw, weight_tok, str(exc), 1) from None
 
     if candidates is None:

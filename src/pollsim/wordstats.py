@@ -33,9 +33,10 @@ class WinnersWord:
 
 def winners_word(source, start, n: int) -> WinnersWord:
     """First ``n`` winners along the orbit of ``start`` under ``source``
-    (anything `orbit_rows` iterates: ``step``, ``winner`` and
-    ``advance``): the winners of ``n - 1`` steps.  A planar map runs
-    them in its own n-step loop (`PlanarReluctanceMap.winners_word`)."""
+    (anything `orbit_rows` iterates, that is anything with
+    ``advance(state) -> (winner, next state)``): the winners of ``n - 1``
+    steps.  A planar map runs them in its own n-step loop
+    (`PlanarReluctanceMap.winners_word`)."""
     if n < 1:
         raise ValueError("need at least one letter")
     if isinstance(source, PlanarReluctanceMap):

@@ -150,7 +150,7 @@ def test_tent_endpoints_and_period_two():
 @pytest.mark.parametrize("z", [Fraction(3, 2), Fraction(-1, 3), 1.5, -0.25, float("nan"), float("inf")])
 def test_tent_refuses_a_state_outside_the_unit_interval(z):
     tent = build_tent_model()
-    for method in (tent.advance, tent.step, tent.winner):
+    for method in (tent.advance, tent.step):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             method(z)
 
@@ -175,9 +175,9 @@ def test_tent_scores_and_winner():
     tent = build_tent_model()
     va, vb, vc = tent.scores(0.25)
     assert (va, vb, vc) == (2.0, 4.0, 4.5)
-    assert tent.winner(0.25) == "c"
-    assert tent.winner(0.75) == "b"
-    assert tent.winner(Fraction(1, 2)) == "b"  # exact tie goes to b
+    assert tent.advance(0.25)[0] == "c"
+    assert tent.advance(0.75)[0] == "b"
+    assert tent.advance(Fraction(1, 2))[0] == "b"  # exact tie goes to b
 
 
 def test_tent_default_start_is_generic():

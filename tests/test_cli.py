@@ -56,7 +56,7 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_graph_command(capsys, tmp_path):
     dot = tmp_path / "cycle.dot"
-    code, _, _ = run(capsys, "graph", str(DATA / "lr_cycle.txt"), "--dot", str(dot))
+    code, _, _ = run(capsys, "analyze", str(DATA / "lr_cycle.txt"), "--dot", str(dot))
     assert code == 0
     text = dot.read_text()
     assert text.count("->") == 11
@@ -224,7 +224,6 @@ def _runs(tmp_path):
     models = [["--model", m] for m in ("twobloc", "reluctance", "tent")]
     models.append(["--model", "reluctance", "--collab", "rational"])
     yield ["analyze", str(DATA / "consensual_loser.txt"), "--dot", str(tmp_path / "g.dot")]
-    yield ["graph", str(DATA / "lr_cycle.txt"), "--dot", str(tmp_path / "g.dot")]
     for culture in ("impartial", "spatial"):
         yield ["mc", "--culture", culture, "--strategy", "lr", "--candidates", "3", "--types", "3",
                "--trials", "2", *out]

@@ -370,7 +370,7 @@ def test_a_state_of_the_wrong_shape_is_refused(make):
     # on the lift, dyn.step(s) is a unit state its table answers for
     for good in (s, dyn.step(s)):
         for bad in _wrong_shapes(good):
-            for call in (dyn.step, dyn.advance, dyn.winner, lambda t: sup_distance(good, t), dyn.outcome,
+            for call in (dyn.step, dyn.advance, lambda t: sup_distance(good, t), dyn.outcome,
                          lambda t: dyn._move(t, dyn.outcome(good)), lambda t: dyn.run_many([good, t], 1)):
                 with pytest.raises(ValueError):
                     call(bad)

@@ -57,7 +57,7 @@ def test_readme_command_lines_parse():
     # every `pollsim ...` line of the bash blocks, `\` continuations joined; parsed, not run
     blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
     lines = [ln for b in blocks for ln in b.replace("\\\n", " ").splitlines() if ln.startswith("pollsim ")]
-    assert len(lines) == 7
+    assert len(lines) == 6
     parser = build_parser()
     for line in lines:
         try:
